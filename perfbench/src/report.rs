@@ -35,17 +35,19 @@ pub const SPANS: [&str; 12] = [
 ];
 
 /// Per-layer metrics, reported by every traced run. A layer a workload
-/// bypasses reports 0 (it did no work).
+/// bypasses reports 0 (it did no work). Names ending in `.median`,
+/// `.mean`, `.sum`, `.p50` or `.p99` summarize the timing series of that
+/// name; the rest are work counts, ratios, or values measured once.
 pub const PER_LAYER: [(&str, &str); 42] = [
     ("automata.compile_us.median", "us"),
     ("automata.compile_us.sum", "us"),
-    ("planner.plan_us.median", "us"),
+    ("planner.plan_us.mean", "us"),
     ("planner.plan_us.sum", "us"),
     ("planner.route.fastpath", "count"),
     ("planner.route.bitparallel", "count"),
     ("planner.route.split", "count"),
     ("planner.route.fallback", "count"),
-    ("engine.exec_us.median", "us"),
+    ("engine.exec_us.mean", "us"),
     ("engine.exec_us.sum", "us"),
     ("engine.product_nodes", "count"),
     ("engine.bfs_steps", "count"),
@@ -132,6 +134,9 @@ fn layer_value(name: &str, p: &Pass, fixed: &BTreeMap<&str, f64>) -> Result<f64,
     let q = match stat {
         "sum" => return Ok(xs.iter().sum()),
         "median" => return Ok(median(&xs).unwrap_or(0.0)),
+        // Profile phases are whole microseconds: their mean keeps every
+        // digit where a median would repeat the same integer run to run.
+        "mean" => return Ok(ratio(xs.iter().sum(), xs.len() as f64)),
         "p50" => 0.5,
         "p99" => 0.99,
         _ => return Ok(0.0),

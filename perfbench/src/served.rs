@@ -134,8 +134,9 @@ fn client(ctx: &Ctx, load: &Load, id: usize, kept: &mut Reservoir<Sample>) -> Pa
         let q = &ctx.inputs.served_log[idx].query;
         let request = ((id as u64) << 40) | n;
         n += 1;
+        let query = q.clone();
         let t0 = Instant::now();
-        let ticket = server.submit_parsed(q.clone(), budget);
+        let ticket = server.submit_parsed(query, budget);
         let t_sub = Instant::now();
         let answer = ticket.and_then(|t| server.wait(&t));
         let t_end = Instant::now();
