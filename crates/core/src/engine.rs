@@ -27,7 +27,9 @@ const FRONTIER_CHUNK: usize = 1024;
 
 /// The RPQ engine: borrows a [`Ring`] and owns the per-query working
 /// memory (the `B[v]`, `D[v]` and `D[s]` mask tables with constant-time
-/// lazy reset, §4.1–4.2).
+/// lazy reset, §4.1–4.2). Construction is *O*(1) and allocates nothing:
+/// the mask tables are allocated by the first pure-path traversal, so an
+/// engine over a layered source (delta or shards) never holds them.
 ///
 /// ```
 /// use automata::Regex;
@@ -61,18 +63,15 @@ pub struct RpqEngine<'r> {
     /// routes every evaluation through the merged expansion — the
     /// extra shards are gathered after each base-ring step.
     shards: &'r [ShardPart],
-    /// `B[v]` masks over the wavelet nodes of `L_p`, heap-ordered.
+    /// `B[v]` masks over the wavelet nodes of `L_p`, heap-ordered. Empty
+    /// until the first pure-path traversal (`ensure_pure_tables`).
     lp_masks: EpochArray,
     /// `D[v]`/`D[s]` masks over the wavelet nodes of `L_s`; the leaf level
     /// (`node_index(width, s)`) holds the per-graph-node visited sets, and
     /// internal nodes hold the intersection of the visited sets below them
-    /// (subject-free subtrees counting as saturated).
+    /// (subject-free subtrees counting as saturated, per
+    /// [`Ring::subject_occupancy`]). Allocated together with `lp_masks`.
     ls_masks: EpochArray,
-    /// `occ[v]`: whether any subject below wavelet node `v` of `L_s`
-    /// occurs in the sequence (static per ring; drives the intersection
-    /// semantics of `ls_masks`). Packed one bit per node so the whole
-    /// table stays cache-resident on large rings.
-    ls_occupancy: BitSet,
     /// Reusable frontier-batching scratch (buffers persist across
     /// queries; no per-query allocation on the traversal hot path).
     scratch: TraverseScratch,
@@ -133,8 +132,7 @@ enum Stop {
 }
 
 impl<'r> RpqEngine<'r> {
-    /// Creates an engine over `ring`. Allocates the mask tables once
-    /// (`O(|P| + |V|)` words); queries reset them in *O*(1).
+    /// Creates an engine over `ring`, in *O*(1).
     pub fn new(ring: &'r Ring) -> Self {
         Self::with_delta(ring, None)
     }
@@ -152,32 +150,9 @@ impl<'r> RpqEngine<'r> {
     /// Creates an engine over a ring plus an optional delta overlay (an
     /// empty delta selects the pure path).
     pub fn with_delta(ring: &'r Ring, delta: Option<&'r DeltaIndex>) -> Self {
-        let ls = ring.l_s();
-        let width = ls.width();
-        let table_len = ls.node_table_len();
-        // Leaf occupancy from the predicate boundary of L_s: a node acts
-        // as a subject iff its subject block is non-empty; internal nodes
-        // OR their children, bottom-up.
-        let mut occ = BitSet::new(table_len);
-        for s in 0..ring.n_nodes() {
-            let (b, e) = ring.subject_range(s);
-            if e > b {
-                occ.set(WaveletMatrix::node_index(width, s));
-            }
-        }
-        for level in (0..width).rev() {
-            for prefix in 0..(1usize << level) {
-                let v = WaveletMatrix::node_index(level, prefix as u64);
-                let l = WaveletMatrix::node_index(level + 1, (prefix as u64) << 1);
-                if occ.get(l) || occ.get(l + 1) {
-                    occ.set(v);
-                }
-            }
-        }
         Self {
-            lp_masks: EpochArray::new(ring.l_p().node_table_len()),
-            ls_masks: EpochArray::new(table_len),
-            ls_occupancy: occ,
+            lp_masks: EpochArray::new(0),
+            ls_masks: EpochArray::new(0),
             scratch: TraverseScratch::default(),
             merged_masks: EpochArray::new(0),
             active_threads: 1,
@@ -217,9 +192,20 @@ impl<'r> RpqEngine<'r> {
     }
 
     /// Bytes of per-query working memory (the `D` and `B` tables of
-    /// Table 2's working-space accounting).
+    /// Table 2's working-space accounting). Sized from the ring, so the
+    /// figure is the same before and after the first query allocates
+    /// the tables.
     pub fn working_space_bytes(&self) -> usize {
-        self.lp_masks.size_bytes() + self.ls_masks.size_bytes()
+        EpochArray::size_bytes_for(self.ring.l_p().node_table_len())
+            + EpochArray::size_bytes_for(self.ring.l_s().node_table_len())
+    }
+
+    /// Allocates the pure path's `B`/`D` mask tables on first use.
+    fn ensure_pure_tables(&mut self) {
+        if self.lp_masks.is_empty() {
+            self.lp_masks = EpochArray::new(self.ring.l_p().node_table_len());
+            self.ls_masks = EpochArray::new(self.ring.l_s().node_table_len());
+        }
     }
 
     /// Evaluates a 2RPQ under the given options: compiles a one-shot
@@ -666,16 +652,17 @@ impl<'r> RpqEngine<'r> {
     ) -> Stop {
         let threads = self.active_threads.max(1);
         let min_frontier = opts.parallel_min_frontier.max(2);
+        self.ensure_pure_tables();
         let Self {
             ring,
             lp_masks,
             ls_masks,
-            ls_occupancy,
             scratch,
             prof_levels,
             ..
         } = self;
         let ring: &Ring = ring;
+        let ls_occupancy = ring.subject_occupancy();
         let lp = ring.l_p();
         let ls = ring.l_s();
         let width_p = lp.width();
@@ -1308,4 +1295,134 @@ pub fn evaluate_with_timeout(
         ..EngineOptions::default()
     };
     RpqEngine::new(ring).evaluate(query, &opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::{ShardedSource, SourceSnapshot};
+    use automata::Regex;
+    use ring::ring::RingOptions;
+    use ring::sharded::ShardedIndex;
+    use ring::{Graph, Triple};
+    use std::sync::Arc;
+
+    fn star(l: Label) -> Regex {
+        Regex::Star(Box::new(Regex::label(l)))
+    }
+
+    /// One rare label (1) between two dense closures, so every route —
+    /// the split included — is feasible for some query below.
+    fn rare_label_triples() -> Vec<Triple> {
+        let mut triples = vec![Triple::new(6, 1, 9)];
+        for i in 0..14 {
+            triples.push(Triple::new(i, 0, (i + 1) % 16));
+            triples.push(Triple::new((i + 2) % 16, 2, (i + 5) % 16));
+        }
+        triples
+    }
+
+    fn corpus() -> Vec<RpqQuery> {
+        let split = Regex::concat(Regex::concat(star(0), Regex::label(1)), star(2));
+        vec![
+            RpqQuery::new(Term::Var, split.clone(), Term::Var),
+            RpqQuery::new(Term::Const(6), split, Term::Var),
+            RpqQuery::new(Term::Const(3), Regex::label(0), Term::Var),
+            RpqQuery::new(
+                Term::Var,
+                Regex::concat(Regex::label(0), Regex::label(2)),
+                Term::Var,
+            ),
+            RpqQuery::new(
+                Term::Var,
+                Regex::Plus(Box::new(Regex::label(2))),
+                Term::Const(5),
+            ),
+        ]
+    }
+
+    /// Runs the corpus under every forced route and checks the answers
+    /// against a pure engine over `reference` (the same triples as one
+    /// ring). Returns the routes that actually executed.
+    fn run_every_route(engine: &mut RpqEngine<'_>, reference: &Ring) -> Vec<EvalRoute> {
+        let mut pure = RpqEngine::new(reference);
+        let mut executed = Vec::new();
+        for query in corpus() {
+            for forced in EvalRoute::ALL {
+                let opts = EngineOptions {
+                    forced_route: Some(forced),
+                    ..EngineOptions::default()
+                };
+                let out = engine.evaluate(&query, &opts).unwrap();
+                let expected = pure.evaluate(&query, &opts).unwrap();
+                assert_eq!(
+                    out.sorted_pairs(),
+                    expected.sorted_pairs(),
+                    "{query:?} {forced:?}"
+                );
+                executed.push(out.plan.expect("every output carries its plan").route);
+            }
+        }
+        executed.sort_unstable_by_key(|r| *r as u8);
+        executed.dedup();
+        executed
+    }
+
+    #[test]
+    fn construction_allocates_nothing() {
+        let ring = Ring::build(
+            &Graph::from_triples(rare_label_triples()),
+            RingOptions::default(),
+        );
+        let engine = RpqEngine::new(&ring);
+        assert_eq!(engine.lp_masks.len(), 0);
+        assert_eq!(engine.ls_masks.len(), 0);
+        assert_eq!(engine.merged_masks.len(), 0);
+        assert!(engine.working_space_bytes() > 0);
+    }
+
+    #[test]
+    fn layered_engines_never_allocate_the_pure_tables() {
+        let base = rare_label_triples();
+        let ring = Ring::build(&Graph::from_triples(base.clone()), RingOptions::default());
+
+        // A non-empty delta: drop one closure edge, add a second rare edge.
+        let (add, del) = (Triple::new(2, 1, 12), Triple::new(4, 0, 5));
+        let delta = DeltaIndex::new(vec![add], vec![del], ring.n_preds_base());
+        let snapshot = SourceSnapshot {
+            epoch: 1,
+            ring: Arc::new(ring.clone()),
+            delta: Some(Arc::new(delta)),
+            shards: Arc::from(Vec::new()),
+        };
+        let mut merged: Vec<Triple> = base.iter().copied().filter(|t| *t != del).collect();
+        merged.push(add);
+        let merged_ring = Ring::build(&Graph::from_triples(merged), RingOptions::default());
+
+        let sharded = ShardedIndex::build(&Graph::from_triples(base), 2, RingOptions::default());
+        let sharded = ShardedSource::new(sharded.into_shards().into_iter().map(Arc::new).collect());
+
+        for (what, mut engine, reference) in [
+            ("delta", RpqEngine::over(&snapshot), &merged_ring),
+            ("2 shards", RpqEngine::over(&sharded), &ring),
+        ] {
+            assert!(engine.layered(), "{what}");
+            let ws = engine.working_space_bytes();
+            let routes = run_every_route(&mut engine, reference);
+            assert_eq!(
+                routes.len(),
+                EvalRoute::ALL.len(),
+                "{what}: executed {routes:?}"
+            );
+            assert_eq!(engine.lp_masks.len(), 0, "{what}: B table allocated");
+            assert_eq!(engine.ls_masks.len(), 0, "{what}: D table allocated");
+            assert_eq!(engine.working_space_bytes(), ws, "{what}");
+        }
+
+        // The pure engine over the same ring does allocate them, once.
+        let mut engine = RpqEngine::new(&ring);
+        run_every_route(&mut engine, &ring);
+        assert_eq!(engine.lp_masks.len(), ring.l_p().node_table_len());
+        assert_eq!(engine.ls_masks.len(), ring.l_s().node_table_len());
+    }
 }

@@ -99,7 +99,8 @@ mod tests {
     /// `Send + Sync` audit: everything a serving layer shares between
     /// worker threads — queries, plans, options, outputs — must be free
     /// of interior mutability. (The engine itself is deliberately *not*
-    /// shared: each worker owns one, for its mask tables.)
+    /// shared: each worker owns one, because evaluation mutates its
+    /// per-query mask tables and scratch.)
     #[test]
     fn shared_query_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

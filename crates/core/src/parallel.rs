@@ -3,9 +3,11 @@
 //!
 //! The ring is immutable after construction, so any number of engines can
 //! read it concurrently — each worker thread gets its own [`RpqEngine`]
-//! (the per-query mask tables are the only mutable state). This is the
-//! intra-machine counterpart of the parallel/distributed RPQ frameworks
-//! §2 surveys, and what a server embedding the ring would do per client.
+//! (the per-query mask tables are the only mutable state; building an
+//! engine is *O*(1), and its first pure-path query allocates them). This
+//! is the intra-machine counterpart of the parallel/distributed RPQ
+//! frameworks §2 surveys, and what a server embedding the ring would do
+//! per client.
 //!
 //! ## The process-wide helper pool
 //!
@@ -257,7 +259,8 @@ fn evaluate_batch_core<'r>(
         let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         // The caller participates too, but guards each query so one
         // poisoned evaluation cannot sink the whole batch: on a panic the
-        // engine (whose mask tables may be mid-update) is rebuilt.
+        // engine (whose mask tables may be mid-update) is replaced by a
+        // fresh one, whose tables are reallocated on next use.
         let mut engine = make_engine();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -178,6 +178,10 @@ fn limit_truncates() {
 fn stats_are_populated() {
     let ring = metro_ring();
     let mut engine = RpqEngine::new(&ring);
+    // The mask tables are allocated by the first traversal, but the
+    // working-space figure is sized from the ring and must not move.
+    let ws = engine.working_space_bytes();
+    assert!(ws > 0);
     let q = RpqQuery::new(Term::Const(BAQ), expr("2+/3"), Term::Var);
     let opts = EngineOptions {
         fast_paths: false,
@@ -188,7 +192,7 @@ fn stats_are_populated() {
     assert!(out.stats.product_edges > 0);
     assert!(out.stats.wavelet_nodes > 0);
     assert_eq!(out.stats.reported, 2);
-    assert!(engine.working_space_bytes() > 0);
+    assert_eq!(engine.working_space_bytes(), ws);
 }
 
 #[test]

@@ -2,6 +2,9 @@
 //! supporting LF-steps, range backward search, and triple-pattern
 //! enumeration (§3.4 of the paper).
 
+use std::sync::OnceLock;
+
+use succinct::util::BitSet;
 use succinct::{SpaceUsage, WaveletMatrix};
 
 use crate::{Boundaries, Graph, Id, Triple};
@@ -80,6 +83,10 @@ pub struct Ring {
     /// Base (non-inverse) predicate count.
     n_preds_base: Id,
     has_inverses: bool,
+    /// Cache behind [`Ring::subject_occupancy`]: derived from the columns
+    /// on first use, never persisted, and not part of [`Ring::size_bytes`]
+    /// (it is query working memory, like the engine's mask tables).
+    subject_occupancy: OnceLock<BitSet>,
 }
 
 impl Ring {
@@ -137,6 +144,7 @@ impl Ring {
             n_preds,
             n_preds_base,
             has_inverses: options.with_inverses,
+            subject_occupancy: OnceLock::new(),
         }
     }
 
@@ -238,6 +246,7 @@ impl Ring {
             n_preds,
             n_preds_base,
             has_inverses,
+            subject_occupancy: OnceLock::new(),
         }
     }
 
@@ -410,6 +419,36 @@ impl Ring {
         e - b
     }
 
+    /// `occ[v]` over the wavelet nodes of `L_s` (heap-ordered, see
+    /// [`WaveletMatrix::node_index`]): whether any subject below node `v`
+    /// occurs in the sequence. It drives the intersection semantics of
+    /// the engine's `D[v]` masks (§4.2), where subject-free subtrees count
+    /// as saturated. Computed once per ring on first call, in
+    /// `O(|V| + |L_s nodes|)`, and shared by every engine over the ring.
+    pub fn subject_occupancy(&self) -> &BitSet {
+        self.subject_occupancy.get_or_init(|| {
+            let width = self.l_s.width();
+            // Leaves: a node acts as a subject iff its subject block is
+            // non-empty. Internal nodes OR their children, bottom-up.
+            let mut occ = BitSet::new(self.l_s.node_table_len());
+            for s in 0..self.n_nodes {
+                let (b, e) = self.subject_range(s);
+                if e > b {
+                    occ.set(WaveletMatrix::node_index(width, s));
+                }
+            }
+            for level in (0..width).rev() {
+                for prefix in 0..1u64 << level {
+                    let l = WaveletMatrix::node_index(level + 1, prefix << 1);
+                    if occ.get(l) || occ.get(l + 1) {
+                        occ.set(WaveletMatrix::node_index(level, prefix));
+                    }
+                }
+            }
+            occ
+        })
+    }
+
     /// Index heap size in bytes (Table 2 accounting).
     pub fn size_bytes(&self) -> usize {
         self.l_o.size_bytes()
@@ -432,6 +471,7 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dict;
 
     /// The paper's running example (Figs. 1 and 3), 0-based:
     /// nodes SA=0, UCh=1, LH=2, BA=3, Baq=4;
@@ -678,5 +718,122 @@ mod tests {
                 assert_eq!(other.lf_p(i), sparse.lf_p(i));
             }
         }
+    }
+
+    /// The per-node recomputation the engine used to run on every
+    /// construction: a leaf is set iff the node's subject block is
+    /// non-empty, and an internal node iff either child is.
+    fn occupancy_by_recomputation(ring: &Ring) -> BitSet {
+        let width = ring.l_s().width();
+        let mut occ = BitSet::new(ring.l_s().node_table_len());
+        for s in 0..ring.n_nodes() {
+            let (b, e) = ring.subject_range(s);
+            if e > b {
+                occ.set(WaveletMatrix::node_index(width, s));
+            }
+        }
+        for level in (0..width).rev() {
+            for prefix in 0..1u64 << level {
+                let l = WaveletMatrix::node_index(level + 1, prefix << 1);
+                if occ.get(l) || occ.get(l + 1) {
+                    occ.set(WaveletMatrix::node_index(level, prefix));
+                }
+            }
+        }
+        occ
+    }
+
+    /// Checks the cached occupancy against the recomputation and against
+    /// its definition read straight off `L_s` (a subject occurs below
+    /// node `v`), and that caching it leaves the index size unchanged.
+    fn assert_occupancy_matches(ring: &Ring, what: &str) {
+        let size = ring.size_bytes();
+        let occ = ring.subject_occupancy();
+        let expected = occupancy_by_recomputation(ring);
+        let ls = ring.l_s();
+        let width = ls.width();
+        assert_eq!(occ.len(), expected.len(), "{what}: table length");
+        for level in 0..=width {
+            for prefix in 0..1u64 << level {
+                let v = WaveletMatrix::node_index(level, prefix);
+                let shift = width - level;
+                let below =
+                    ls.range_count_within(0, ls.len(), prefix << shift, (prefix + 1) << shift) > 0;
+                assert_eq!(
+                    occ.get(v),
+                    expected.get(v),
+                    "{what}: node ({level}, {prefix})"
+                );
+                assert_eq!(occ.get(v), below, "{what}: node ({level}, {prefix}) vs L_s");
+            }
+        }
+        assert!(
+            std::ptr::eq(occ, ring.subject_occupancy()),
+            "{what}: computed once"
+        );
+        assert_eq!(
+            ring.size_bytes(),
+            size,
+            "{what}: occupancy counted as index space"
+        );
+    }
+
+    #[test]
+    fn subject_occupancy_matches_per_node_recomputation() {
+        // Nodes 5, 7 and 9 have no edges at all; 2 and 8 only in-edges
+        // (subjects only once inverses complete the graph).
+        let with_isolated = Graph::new(
+            vec![
+                Triple::new(0, 0, 1),
+                Triple::new(1, 1, 2),
+                Triple::new(3, 0, 2),
+                Triple::new(4, 2, 8),
+                Triple::new(6, 1, 0),
+            ],
+            10,
+            3,
+        );
+        let graphs = [
+            ("paper", paper_graph()),
+            ("isolated", with_isolated),
+            ("empty", Graph::new(vec![], 0, 0)),
+        ];
+        let dir = std::env::temp_dir().join(format!("rpq_ring_occ_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, graph) in &graphs {
+            for kind in [
+                BoundaryKind::Dense,
+                BoundaryKind::Sparse,
+                BoundaryKind::EliasFano,
+            ] {
+                for with_inverses in [true, false] {
+                    let options = RingOptions {
+                        with_inverses,
+                        node_boundaries: kind,
+                    };
+                    let what = format!("{name} {kind:?} inverses={with_inverses}");
+                    let ring = Ring::build(graph, options);
+                    assert_occupancy_matches(&ring, &format!("{what} heap"));
+                    let path = dir.join(format!("{name}_{kind:?}_{with_inverses}.rpqm"));
+                    let dict = |n: Id| {
+                        let mut d = Dict::new();
+                        for i in 0..n {
+                            d.intern(&i.to_string());
+                        }
+                        d
+                    };
+                    let (nodes, preds) = (dict(graph.n_nodes()), dict(graph.n_preds()));
+                    crate::mapped::write_index(&path, &ring, &nodes, &preds).unwrap();
+                    let mode = if cfg!(all(unix, target_pointer_width = "64")) {
+                        crate::mapped::OpenMode::Mmap
+                    } else {
+                        crate::mapped::OpenMode::Heap
+                    };
+                    let reopened = crate::mapped::open_index(&path, mode).unwrap();
+                    assert_occupancy_matches(&reopened.ring, &format!("{what} reopened"));
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,8 @@
 //! `Send + Sync` audit: the ring is explicitly a read-optimized, shared,
 //! immutable index — one copy serves every worker thread of a query
-//! server concurrently. These assertions pin that property (no interior
-//! mutability may ever creep in).
+//! server concurrently. These assertions pin that property: the only
+//! interior mutability is the once-initialised subject-occupancy cache
+//! (a `OnceLock`), which every thread observes fully built.
 
 use ring::{Boundaries, Dict, Graph, Ring, Triple};
 
@@ -29,10 +30,18 @@ fn ring_reads_agree_across_threads() {
         RingOptions::default(),
     ));
     let baseline: Vec<(usize, usize)> = (0..ring.n_nodes()).map(|v| ring.object_range(v)).collect();
+    // A clone taken before the cache is filled computes its own copy.
+    let occupied = Ring::clone(&ring).subject_occupancy().count_ones();
+    let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let (ring, baseline) = (std::sync::Arc::clone(&ring), &baseline);
+            let (ring, baseline, start) = (std::sync::Arc::clone(&ring), &baseline, &start);
             scope.spawn(move || {
+                // All four threads race the cache's first fill.
+                start.wait();
+                let occ = ring.subject_occupancy();
+                assert_eq!(occ.len(), ring.l_s().node_table_len());
+                assert_eq!(occ.count_ones(), occupied);
                 for v in 0..ring.n_nodes() {
                     assert_eq!(ring.object_range(v), baseline[v as usize]);
                     let (b, e) = ring.pred_range(v % ring.n_preds());

@@ -791,9 +791,10 @@ fn pop_job(shared: &Shared) -> Option<Arc<Job>> {
 
 fn worker_loop(shared: &Shared) {
     // Jobs run against the snapshot captured at their submit time. The
-    // engine's mask tables are sized to one snapshot's ring, so the
-    // worker keeps an engine per *epoch*, rebuilding only when the next
-    // job's snapshot epoch differs from the current one.
+    // engine borrows one snapshot, so the worker keeps an engine per
+    // *epoch* (construction is O(1)), rebuilding when the next job's
+    // snapshot epoch differs from the current one; a pure-ring epoch
+    // keeps its mask tables across the epoch's jobs.
     let mut next: Option<Arc<Job>> = None;
     'epoch: loop {
         let job = match next.take().or_else(|| pop_job(shared)) {

@@ -197,6 +197,11 @@ impl EpochArray {
     pub fn size_bytes(&self) -> usize {
         self.values.capacity() * 8 + self.stamps.capacity() * 4
     }
+
+    /// Heap bytes an array of `len` cells owns once allocated.
+    pub fn size_bytes_for(len: usize) -> usize {
+        len * (8 + 4)
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +262,7 @@ mod tests {
             assert_eq!(a.get(i), 0, "cell {i} after reset");
         }
         assert_eq!(a.or_with(3, 0b10), 0b10);
+        assert_eq!(a.size_bytes(), EpochArray::size_bytes_for(8));
     }
 
     #[test]
