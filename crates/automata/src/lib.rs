@@ -25,14 +25,12 @@
 pub mod ast;
 pub mod bitparallel;
 pub mod derivative;
-pub mod dfa;
 pub mod glushkov;
 pub mod parser;
 pub mod thompson;
 
 pub use ast::{Lit, Regex};
 pub use bitparallel::BitParallel;
-pub use dfa::LazyDfa;
 pub use glushkov::Glushkov;
 pub use parser::{parse, ParseError};
 pub use thompson::Nfa;

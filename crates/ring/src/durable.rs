@@ -1,7 +1,7 @@
 //! Crash-safe snapshot IO: atomic replace-writes, checksum footers, and a
 //! fault-injection layer (`IoPolicy`) for crash-consistency testing.
 //!
-//! Every on-disk format in the workspace routes its save path through
+//! Every on-disk file in the workspace routes its save path through
 //! [`atomic_write`]: the new bytes go to a same-directory temp file, the
 //! file is fsync'd, renamed over the destination, and the directory is
 //! fsync'd so the rename itself is durable. A crash (or injected fault) at
@@ -9,11 +9,12 @@
 //! mixture — and at worst an orphaned `*.tmp` that [`cleanup_orphans`]
 //! removes on the next open.
 //!
-//! Heap formats additionally carry a 16-byte checksum footer
+//! Streamed files (the shard manifest) carry a 16-byte checksum footer
 //! (`[crc32c u32][covered_len u64][b"RPQF"]`, all little-endian) produced
-//! by [`finish_footer`] and checked by [`verify_footer`]; corruption and
-//! truncation surface as the typed [`DurabilityError`] wrapped in an
-//! [`io::Error`] (downcast with [`durability_error`]).
+//! by [`finish_footer`] and checked by [`verify_footer`]; corruption,
+//! truncation and retired file formats surface as the typed
+//! [`DurabilityError`] wrapped in an [`io::Error`] (downcast with
+//! [`durability_error`]).
 //!
 //! The fault layer is process-global and off by default: [`arm`] installs
 //! an [`IoPolicy`] whose counters tick on every write/fsync/rename that
@@ -32,7 +33,7 @@ use std::sync::Mutex;
 
 use succinct::checksum::{CrcReader, CrcWriter};
 
-/// Magic closing the whole-file checksum footer of the heap formats.
+/// Magic closing the whole-file checksum footer of streamed files.
 pub const FOOTER_MAGIC: [u8; 4] = *b"RPQF";
 /// Size of the checksum footer: crc `u32` + covered length `u64` + magic.
 pub const FOOTER_LEN: usize = 16;
@@ -63,6 +64,14 @@ pub enum DurabilityError {
         /// What was being read when the bytes ran out.
         context: String,
     },
+    /// The file is an index in a retired on-disk format, which this
+    /// build no longer reads; the index must be rebuilt from its source
+    /// graph.
+    RetiredFormat {
+        /// The retired format's name (its magic, plus a version where
+        /// the magic alone is ambiguous).
+        format: String,
+    },
 }
 
 impl fmt::Display for DurabilityError {
@@ -79,6 +88,11 @@ impl fmt::Display for DurabilityError {
             DurabilityError::TruncatedFile { context } => {
                 write!(f, "truncated file: {context}")
             }
+            DurabilityError::RetiredFormat { format } => write!(
+                f,
+                "{format} is a retired index format this build cannot read; \
+                 rebuild the index from its source graph (rpq-cli build)"
+            ),
         }
     }
 }
@@ -103,6 +117,16 @@ pub fn truncated_error(context: impl Into<String>) -> io::Error {
         io::ErrorKind::InvalidData,
         DurabilityError::TruncatedFile {
             context: context.into(),
+        },
+    )
+}
+
+/// Builds the [`io::Error`] carrying a [`DurabilityError::RetiredFormat`].
+pub fn retired_format_error(format: impl Into<String>) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        DurabilityError::RetiredFormat {
+            format: format.into(),
         },
     )
 }
@@ -500,24 +524,6 @@ pub fn finish_footer<W: Write>(w: &mut CrcWriter<W>) -> io::Result<()> {
 /// the CRC32C, and that nothing trails the footer. Errors are the typed
 /// [`DurabilityError`] variants.
 pub fn verify_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<()> {
-    if read_footer(r, context)? {
-        Ok(())
-    } else {
-        Err(truncated_error(format!(
-            "{context}: missing checksum footer"
-        )))
-    }
-}
-
-/// Like [`verify_footer`], but a clean EOF right after the payload is
-/// accepted as a legacy pre-checksum file. Returns whether a footer was
-/// present (and verified); `false` means the caller should warn that the
-/// file has no integrity protection.
-pub fn verify_footer_or_legacy<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool> {
-    read_footer(r, context)
-}
-
-fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool> {
     let actual = r.digest();
     let covered = r.read_count();
     let mut footer = [0u8; FOOTER_LEN];
@@ -530,7 +536,9 @@ fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool>
         got += n;
     }
     if got == 0 {
-        return Ok(false);
+        return Err(truncated_error(format!(
+            "{context}: missing checksum footer"
+        )));
     }
     if got < FOOTER_LEN {
         return Err(truncated_error(format!(
@@ -558,7 +566,7 @@ fn read_footer<R: Read>(r: &mut CrcReader<R>, context: &str) -> io::Result<bool>
             "{context}: trailing bytes after checksum footer"
         )));
     }
-    Ok(true)
+    Ok(())
 }
 
 #[cfg(test)]

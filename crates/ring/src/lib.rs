@@ -35,6 +35,8 @@
 //! * [`durable`]: crash-safe IO — atomic replace-writes, checksum
 //!   footers, typed corruption errors, and the fault-injection layer the
 //!   crash-consistency battery drives.
+//! * [`mapped`]: the snapshot format `RRPQM01` — ring, dictionaries,
+//!   delta overlay and epoch in one aligned file that opens zero-copy.
 //! * [`wal`]: the write-ahead log that makes committed updates survive a
 //!   crash between snapshots.
 //! * [`sharded`]: horizontal sharding — the graph partitioned by
@@ -47,7 +49,6 @@ pub mod delta;
 pub mod dict;
 pub mod durable;
 pub mod graph;
-pub mod io;
 pub mod ltj;
 pub mod mapped;
 pub mod ntriples;

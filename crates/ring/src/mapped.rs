@@ -1,4 +1,4 @@
-//! The mappable on-disk index format `RRPQM01`.
+//! The index file format `RRPQM01` — the one snapshot format.
 //!
 //! Layout: an 8-byte magic, a fixed table of contents, then one
 //! 8-byte-aligned section per component of the index:
@@ -6,9 +6,10 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ "RRPQM01\0" │ version u64 │ n_sections u64                   │
-//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 9     │
+//! │ TOC: (tag u64, offset u64, byte_len u64, crc32c u64) × 10    │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses    │
+//! │ 1 META    n, n_nodes, n_preds, n_preds_base, has_inverses,   │
+//! │           epoch                                              │
 //! │ 2 L_O     wavelet matrix (objects in (s,p) order)            │
 //! │ 3 L_S     wavelet matrix (subjects in (p,o) order)           │
 //! │ 4 L_P     wavelet matrix (predicates in (o,s) order)         │
@@ -17,6 +18,7 @@
 //! │ 7 C_O     boundaries                                         │
 //! │ 8 NODES   dictionary (blob + offsets + name-sorted ids)      │
 //! │ 9 PREDS   dictionary                                         │
+//! │ 10 DELTA  committed update overlay (empty when immutable)    │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -24,9 +26,10 @@
 //! in-memory form and 8-byte aligned relative to the file start, so
 //! [`open_index`] can point the succinct structures straight into an
 //! `mmap` of the file: cold open validates shapes and headers but never
-//! copies or rebuilds the payload. The old stream formats (`RRPQDB01`
-//! and the component `R??1` records) remain supported by [`crate::io`];
-//! this module is the fast path beside them.
+//! copies or rebuilds the payload. The `DELTA` section holds the
+//! [`DeltaIndex`] in its [`succinct::io::Persist`] encoding,
+//! and `META` the snapshot epoch, so an updatable database persists
+//! in this format too.
 //!
 //! Alignment is a **soundness** invariant, not a preference: a
 //! misaligned `&[u64]` reinterpretation is undefined behavior, so the
@@ -35,32 +38,37 @@
 //!
 //! ## Versions and checksums
 //!
-//! Version 2 (current) stores a CRC32C per section in the TOC and is
-//! written atomically (temp file + fsync + rename) by [`write_index`].
-//! Version 1 files (24-byte TOC entries, no checksums) still open, with
-//! a warning that they carry no integrity protection. To preserve the
-//! O(header) zero-copy cold open — the whole point of this format — an
-//! `mmap` open validates structure only; checksums are verified on heap
-//! opens (which touch every byte anyway), when `RPQ_VERIFY_ON_OPEN=1`,
-//! and by [`verify_index_checksums`] (the `verify` CLI subcommand).
+//! Version 3 (current) adds the epoch and the `DELTA` section; version 2
+//! files (nine sections) open at epoch 0 with an empty delta. Both
+//! store a CRC32C per section in the TOC, and [`write_snapshot`] writes
+//! atomically (temp file + fsync + rename). Older files — checksum-less
+//! version 1 and the retired stream formats `RRPQDB01/02` and
+//! `RRPQDU01/02` — fail with a typed
+//! [`RetiredFormat`](crate::durable::DurabilityError::RetiredFormat)
+//! error. To preserve the O(header) zero-copy cold open — the whole
+//! point of this format — an `mmap` open validates structure only;
+//! checksums are verified on heap opens (which touch every byte
+//! anyway), by [`open_index_verified`], when `RPQ_VERIFY_ON_OPEN=1`, and
+//! by [`verify_index_checksums`] (the `verify` CLI subcommand).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use succinct::io::Persist;
 use succinct::mapped::{
     err_data, host_supported, read_elias_fano, read_rank_select, read_wavelet_matrix,
     write_elias_fano, write_rank_select, write_wavelet_matrix, MapReader, SectionWriter, MAX_LEN,
 };
 use succinct::{MappedFile, ResidentMode};
 
-use crate::{Boundaries, Dict, Id, Ring};
+use crate::{Boundaries, DeltaIndex, Dict, Id, Ring};
 
 /// Magic bytes opening a mappable index file.
 pub const MAPPED_MAGIC: [u8; 8] = *b"RRPQM01\0";
-/// Current version of the mapped format (2 = per-section CRC32C in the
-/// TOC; 1 = checksum-less, still readable).
-pub const MAPPED_VERSION: u64 = 2;
+/// Current version of the format (3 = epoch in `META` plus the `DELTA`
+/// section; 2 = nine sections, still readable).
+pub const MAPPED_VERSION: u64 = 3;
 
 const TAG_META: u64 = 1;
 const TAG_L_O: u64 = 2;
@@ -71,21 +79,27 @@ const TAG_C_P: u64 = 6;
 const TAG_C_O: u64 = 7;
 const TAG_NODES: u64 = 8;
 const TAG_PREDS: u64 = 9;
-const N_SECTIONS: usize = 9;
+const TAG_DELTA: u64 = 10;
+const N_SECTIONS: usize = 10;
+/// Sections of a version 2 file (no `DELTA`).
+const N_SECTIONS_V2: usize = 9;
+/// Bytes per TOC entry: tag, offset, length, CRC32C.
+const TOC_ENTRY_LEN: usize = 32;
 
 /// Header bytes before the first section: magic + version + count +
-/// the table of contents (32 bytes per entry in v2). 312 bytes —
-/// itself a multiple of 8, so the first section starts aligned.
-pub const HEADER_LEN: usize = 8 + 8 + 8 + N_SECTIONS * 32;
-
-/// Header size of the legacy checksum-less v1 layout (24-byte entries).
-const HEADER_LEN_V1: usize = 8 + 8 + 8 + N_SECTIONS * 24;
+/// the table of contents. 344 bytes — itself a multiple of 8, so the
+/// first section starts aligned.
+pub const HEADER_LEN: usize = 8 + 8 + 8 + N_SECTIONS * TOC_ENTRY_LEN;
 
 /// Human names per section, indexed `tag - 1` (error messages, verify
 /// reports).
 pub const SECTION_NAMES: [&str; N_SECTIONS] = [
-    "META", "L_O", "L_S", "L_P", "C_S", "C_P", "C_O", "NODES", "PREDS",
+    "META", "L_O", "L_S", "L_P", "C_S", "C_P", "C_O", "NODES", "PREDS", "DELTA",
 ];
+
+/// Magics of the retired stream formats, which open with a typed
+/// "rebuild" error instead of a bare "bad magic".
+const RETIRED_MAGICS: [&[u8; 8]; 4] = [b"RRPQDB01", b"RRPQDB02", b"RRPQDU01", b"RRPQDU02"];
 
 /// How [`open_index`] should back the loaded structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,7 +115,7 @@ pub enum OpenMode {
     Heap,
 }
 
-/// A ring index opened from a `RRPQM01` file, plus how it is resident.
+/// A snapshot opened from a `RRPQM01` file, plus how it is resident.
 #[derive(Debug)]
 pub struct MappedIndex {
     /// The ring, its arrays borrowing the opened file.
@@ -110,20 +124,14 @@ pub struct MappedIndex {
     pub nodes: Dict,
     /// Predicate dictionary (mapped form).
     pub preds: Dict,
+    /// The committed update overlay (empty for an immutable database).
+    pub delta: DeltaIndex,
+    /// The snapshot epoch (0 for an immutable database).
+    pub epoch: u64,
     /// Whether the bytes live in a kernel mapping or on the heap.
     pub resident: ResidentMode,
     /// Bytes held by the kernel mapping (0 in heap mode).
     pub mapped_bytes: u64,
-}
-
-/// Whether `path` starts with the mapped-format magic (a cheap sniff
-/// for dispatching between `RRPQM01` and the stream formats).
-pub fn is_mapped_file(path: &Path) -> bool {
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return false;
-    };
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).is_ok() && magic == MAPPED_MAGIC
 }
 
 fn section(
@@ -217,12 +225,28 @@ fn read_dict(r: &mut MapReader) -> io::Result<Dict> {
     Dict::from_mapped_parts(blob, offsets, order).map_err(err_data)
 }
 
-/// Writes `ring` plus its dictionaries as a mappable `RRPQM01` file
-/// (version 2: per-section CRC32C in the TOC), atomically — the bytes go
-/// to a same-directory temp file that is fsync'd and renamed over
-/// `path`, so a crash mid-save preserves the previous index. Returns the
-/// total bytes written.
+/// Writes an immutable database — `ring` plus its dictionaries, an
+/// empty delta, epoch 0 — as a `RRPQM01` file; see [`write_snapshot`].
 pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::Result<u64> {
+    let delta = DeltaIndex::empty(ring.n_preds_base());
+    write_snapshot(path, ring, nodes, preds, &delta, 0)
+}
+
+/// Writes a snapshot — `ring`, its dictionaries, the committed `delta`
+/// over it and the snapshot `epoch` — as a `RRPQM01` file (version 3:
+/// per-section CRC32C in the TOC), atomically: the bytes go to a
+/// same-directory temp file that is fsync'd and renamed over `path`, so
+/// a crash mid-save preserves the previous index, and an engine still
+/// reading a mapping of the previous file keeps its bytes. Returns the
+/// total bytes written.
+pub fn write_snapshot(
+    path: &Path,
+    ring: &Ring,
+    nodes: &Dict,
+    preds: &Dict,
+    delta: &DeltaIndex,
+    epoch: u64,
+) -> io::Result<u64> {
     let sections: Vec<(u64, Vec<u8>)> = vec![
         (
             TAG_META,
@@ -231,7 +255,8 @@ pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::
                 w.u64(ring.n_nodes())?;
                 w.u64(ring.n_preds())?;
                 w.u64(ring.n_preds_base())?;
-                w.u64(ring.has_inverses() as u64)
+                w.u64(ring.has_inverses() as u64)?;
+                w.u64(epoch)
             })?,
         ),
         (TAG_L_O, section(|w| write_wavelet_matrix(w, ring.l_o()))?),
@@ -242,6 +267,15 @@ pub fn write_index(path: &Path, ring: &Ring, nodes: &Dict, preds: &Dict) -> io::
         (TAG_C_O, section(|w| write_boundaries(w, ring.c_o_ref()))?),
         (TAG_NODES, section(|w| write_dict(w, nodes))?),
         (TAG_PREDS, section(|w| write_dict(w, preds))?),
+        (
+            TAG_DELTA,
+            section(|w| {
+                let mut encoded = Vec::new();
+                delta.write_to(&mut encoded)?;
+                w.u64(encoded.len() as u64)?;
+                w.bytes(&encoded)
+            })?,
+        ),
     ];
     crate::durable::atomic_write(path, |out| {
         out.write_all(&MAPPED_MAGIC)?;
@@ -272,55 +306,58 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 
 /// A parsed and structurally validated table of contents.
 struct Toc {
-    /// On-disk format version (1 or 2).
+    /// On-disk format version (2 or 3).
     version: u64,
-    /// `(offset, byte_len)` per section, indexed `tag - 1`.
-    sections: [(usize, usize); N_SECTIONS],
-    /// Per-section CRC32C from the TOC (`None` for checksum-less v1).
-    crcs: Option<[u32; N_SECTIONS]>,
+    /// `(offset, byte_len)` per section, indexed `tag - 1` (nine
+    /// entries in a version 2 file).
+    sections: Vec<(usize, usize)>,
+    /// Per-section CRC32C from the TOC, indexed like `sections`.
+    crcs: Vec<u32>,
 }
 
-/// Parses and validates the header (the TOC must list the nine known
-/// tags in order). Every offset is checked to be 8-byte aligned — the
+/// Parses and validates the header (the TOC must list the known tags
+/// in order). Every offset is checked to be 8-byte aligned — the
 /// soundness invariant behind the zero-copy `&[u64]` views — and in
-/// bounds. Understands both the current 32-byte-entry v2 layout and the
-/// legacy 24-byte-entry v1 layout.
+/// bounds. Retired formats fail with the typed `RetiredFormat` error.
 fn read_toc(map: &MappedFile) -> io::Result<Toc> {
     let bytes = map.as_bytes();
+    if let Some(magic) = RETIRED_MAGICS.iter().find(|m| bytes.starts_with(&m[..])) {
+        return Err(crate::durable::retired_format_error(
+            String::from_utf8_lossy(&magic[..]),
+        ));
+    }
     if bytes.len() < 24 {
         return Err(err_data("file too short for a mapped index header"));
     }
     if bytes[..8] != MAPPED_MAGIC {
-        if bytes.starts_with(b"RRPQDB01") || bytes.starts_with(b"RRPQDU01") {
-            return Err(err_data(
-                "stream-format index (RRPQDB01/RRPQDU01), not a mapped RRPQM01 file",
-            ));
-        }
-        return Err(err_data("bad magic: not a RRPQM01 mapped index"));
+        return Err(err_data("bad magic: not a RRPQM01 index"));
     }
     let version = u64_at(bytes, 8);
-    let (entry_len, header_len) = match version {
-        1 => (24usize, HEADER_LEN_V1),
-        2 => (32usize, HEADER_LEN),
+    let n_sections = match version {
+        1 => return Err(crate::durable::retired_format_error("RRPQM01 version 1")),
+        2 => N_SECTIONS_V2,
+        3 => N_SECTIONS,
         v => {
             return Err(err_data(format!(
-                "unsupported mapped format version {v} (supported: 1, {MAPPED_VERSION})"
+                "unsupported mapped format version {v} (supported: 2, {MAPPED_VERSION})"
             )))
         }
     };
+    let header_len = 24 + n_sections * TOC_ENTRY_LEN;
     if bytes.len() < header_len {
         return Err(err_data("file too short for a mapped index header"));
     }
-    if u64_at(bytes, 16) != N_SECTIONS as u64 {
+    if u64_at(bytes, 16) != n_sections as u64 {
         return Err(err_data("unexpected section count"));
     }
-    let mut sections = [(0usize, 0usize); N_SECTIONS];
-    let mut crcs = [0u32; N_SECTIONS];
-    for (i, entry) in sections.iter_mut().enumerate() {
-        let at = 24 + i * entry_len;
+    let mut sections = Vec::with_capacity(n_sections);
+    let mut crcs = Vec::with_capacity(n_sections);
+    for i in 0..n_sections {
+        let at = 24 + i * TOC_ENTRY_LEN;
         let tag = u64_at(bytes, at);
         let off = u64_at(bytes, at + 8);
         let len = u64_at(bytes, at + 16);
+        let crc = u64_at(bytes, at + 24);
         if tag != (i as u64) + 1 {
             return Err(err_data(format!("unexpected section tag {tag}")));
         }
@@ -334,19 +371,16 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
         {
             return Err(err_data(format!("section {tag} extends past end of file")));
         }
-        *entry = (off as usize, len as usize);
-        if entry_len == 32 {
-            let crc = u64_at(bytes, at + 24);
-            if crc > u32::MAX as u64 {
-                return Err(err_data(format!("section {tag} checksum out of range")));
-            }
-            crcs[i] = crc as u32;
+        if crc > u32::MAX as u64 {
+            return Err(err_data(format!("section {tag} checksum out of range")));
         }
+        sections.push((off as usize, len as usize));
+        crcs.push(crc as u32);
     }
     Ok(Toc {
         version,
         sections,
-        crcs: (version >= 2).then_some(crcs),
+        crcs,
     })
 }
 
@@ -355,16 +389,13 @@ fn read_toc(map: &MappedFile) -> io::Result<Toc> {
 /// [`ChecksumMismatch`](crate::durable::DurabilityError::ChecksumMismatch)
 /// error on the first disagreement.
 fn check_section_crcs(map: &MappedFile, toc: &Toc) -> io::Result<()> {
-    let Some(crcs) = &toc.crcs else {
-        return Ok(());
-    };
     let bytes = map.as_bytes();
     for (i, &(off, len)) in toc.sections.iter().enumerate() {
         let actual = succinct::checksum::crc32c(&bytes[off..off + len]);
-        if actual != crcs[i] {
+        if actual != toc.crcs[i] {
             return Err(crate::durable::checksum_error(
                 format!("mapped index section {}", SECTION_NAMES[i]),
-                crcs[i],
+                toc.crcs[i],
                 actual,
             ));
         }
@@ -374,21 +405,33 @@ fn check_section_crcs(map: &MappedFile, toc: &Toc) -> io::Result<()> {
 
 /// Deep-checks the section checksums of the `RRPQM01` file at `path`
 /// against its TOC (every byte is read). Returns the number of sections
-/// verified: `N_SECTIONS` for a v2 file, `0` for a checksum-less v1
-/// file. Structural and cross-component validation is [`open_index`]'s
-/// job; the `verify` CLI subcommand runs both.
+/// verified: 10 for a version 3 file, 9 for version 2. Structural and
+/// cross-component validation is [`open_index`]'s job; the `verify` CLI
+/// subcommand runs both.
 pub fn verify_index_checksums(path: &Path) -> io::Result<usize> {
     let map = MappedFile::open_heap(path)?;
     let toc = read_toc(&map)?;
     check_section_crcs(&map, &toc)?;
-    Ok(if toc.crcs.is_some() { N_SECTIONS } else { 0 })
+    Ok(toc.sections.len())
 }
 
 /// Opens a `RRPQM01` file, pointing the index structures into the file
 /// in place. Cold-open cost is header parsing plus shape validation —
 /// the succinct payloads are neither copied nor rebuilt (the dictionary
-/// section is scanned once for UTF-8/order validation).
+/// and delta sections are scanned once for validation).
 pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
+    let verify = std::env::var("RPQ_VERIFY_ON_OPEN").is_ok_and(|v| v != "0" && !v.is_empty());
+    open_with_policy(path, mode, verify)
+}
+
+/// [`open_index`] that verifies every section checksum whatever the
+/// residency, before any structural check — for callers that read the
+/// whole index anyway, such as the updatable store rebuilding its graph.
+pub fn open_index_verified(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
+    open_with_policy(path, mode, true)
+}
+
+fn open_with_policy(path: &Path, mode: OpenMode, verify: bool) -> io::Result<MappedIndex> {
     if !host_supported() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -409,24 +452,14 @@ pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
             m
         }
     };
-    open_from_map(map)
-}
-
-fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
     let toc = read_toc(&map)?;
-    if toc.crcs.is_none() {
-        eprintln!(
-            "warning: mapped index is format v{} (no section checksums); re-save to upgrade",
-            toc.version
-        );
-    }
     // Checksum policy: heap opens touch every byte anyway, so verifying
     // is nearly free; mmap opens stay O(header) to preserve the
-    // zero-copy cold-open contract unless explicitly asked.
-    let verify_env = std::env::var("RPQ_VERIFY_ON_OPEN").is_ok_and(|v| v != "0" && !v.is_empty());
-    if map.mode() == ResidentMode::Heap || verify_env {
+    // zero-copy cold-open contract unless asked.
+    if verify || map.mode() == ResidentMode::Heap {
         check_section_crcs(&map, &toc)?;
     }
+    let version = toc.version;
     let toc = toc.sections;
     let reader = |i: usize| MapReader::new(Arc::clone(&map), toc[i].0, toc[i].1);
 
@@ -440,8 +473,9 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
         1 => true,
         _ => return Err(err_data("invalid has_inverses flag")),
     };
+    let epoch = if version >= 3 { meta.u64()? } else { 0 };
     meta.finish()?;
-    if n_nodes > MAX_LEN || n_preds > MAX_LEN {
+    if n_nodes > MAX_LEN || n_preds > MAX_LEN || n_preds_base > MAX_LEN {
         return Err(err_data("alphabet size out of range"));
     }
     let expected_preds = if n == 0 {
@@ -477,10 +511,23 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
     let mut sec = reader(8)?;
     let preds = read_dict(&mut sec)?;
     sec.finish()?;
+    let delta = if version >= 3 {
+        let mut sec = reader(9)?;
+        let len = sec.len_u64(MAX_LEN)?;
+        let encoded = sec.slab_u8(len)?;
+        sec.finish()?;
+        let mut rest: &[u8] = &encoded;
+        let delta = DeltaIndex::read_from(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(err_data("delta section has trailing bytes"));
+        }
+        delta
+    } else {
+        DeltaIndex::empty(n_preds_base)
+    };
 
-    // The same cross-component consistency checks the stream loader
-    // makes (crate::io), so a structurally valid but inconsistent file
-    // cannot produce out-of-range ids at query time.
+    // Cross-component consistency, so a structurally valid but
+    // inconsistent file cannot produce out-of-range ids at query time.
     for (name, wm) in [("L_o", &l_o), ("L_s", &l_s), ("L_p", &l_p)] {
         if wm.len() != n {
             return Err(err_data(format!("{name} length mismatch")));
@@ -504,14 +551,26 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
             return Err(err_data(format!("{name} total mismatch")));
         }
     }
-    // `Ring::build` clamps the node universe to >= 1 even for an empty
-    // graph, so an empty index legitimately pairs n_nodes == 1 with an
-    // empty dictionary (mirroring the inverse-alphabet clamp above).
-    if nodes.len() as Id != n_nodes && !(n == 0 && nodes.is_empty()) {
-        return Err(err_data("node dictionary size mismatch"));
+    if delta.n_preds_base() != n_preds_base {
+        return Err(err_data("delta alphabet does not match the ring"));
     }
-    if preds.len() as Id != n_preds_base {
-        return Err(err_data("predicate dictionary size mismatch"));
+    // Append-only interning lets an updatable database's dictionaries
+    // outgrow its committed triples, so they must cover the universes of
+    // ring ⊎ delta, not match them. `Ring::build` clamps the node
+    // universe to >= 1 even for an empty graph, so an empty ring
+    // legitimately pairs n_nodes == 1 with an empty dictionary.
+    let ring_nodes = if n == 0 && nodes.is_empty() {
+        0
+    } else {
+        n_nodes
+    };
+    if (nodes.len() as Id) < ring_nodes.max(delta.n_nodes()) {
+        return Err(err_data("node dictionary smaller than the node universe"));
+    }
+    if (preds.len() as Id) < n_preds_base {
+        return Err(err_data(
+            "predicate dictionary smaller than the predicate universe",
+        ));
     }
 
     let resident = map.mode();
@@ -535,6 +594,8 @@ fn open_from_map(map: Arc<MappedFile>) -> io::Result<MappedIndex> {
         ),
         nodes,
         preds,
+        delta,
+        epoch,
         resident,
         mapped_bytes,
     })

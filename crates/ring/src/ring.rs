@@ -218,7 +218,7 @@ impl Ring {
     }
 
     /// Reassembles a ring from persisted parts. Intended for
-    /// [`crate::io`]; the caller is responsible for consistency (the
+    /// [`crate::mapped`]; the caller is responsible for consistency (the
     /// loader validates lengths, alphabets and totals).
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(

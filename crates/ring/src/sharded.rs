@@ -117,8 +117,9 @@ pub fn is_sharded_dir(path: &Path) -> bool {
 /// Opens a sharded index directory: verifies the manifest checksum, then
 /// opens every shard file under `mode` (each shard validates its own
 /// section CRCs and cross-component shapes) and cross-checks it against
-/// the manifest — shard count, per-shard triple count, and the shared
-/// node/predicate universes.
+/// the manifest — shard count, per-shard triple count, the shared
+/// node/predicate universes, and that no shard carries an update
+/// overlay (shards are immutable).
 pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<Vec<MappedIndex>> {
     let manifest = read_manifest(&dir.join(MANIFEST_FILE))?;
     let mut shards = Vec::with_capacity(manifest.shard_triples.len());
@@ -134,6 +135,9 @@ pub fn open_dir(dir: &Path, mode: OpenMode) -> io::Result<Vec<MappedIndex>> {
         }
         if idx.ring.n_preds_base() != manifest.n_preds_base {
             return Err(manifest_mismatch(&context(), "predicate universe"));
+        }
+        if !idx.delta.is_empty() || idx.epoch != 0 {
+            return Err(manifest_mismatch(&context(), "update overlay"));
         }
         shards.push(idx);
     }

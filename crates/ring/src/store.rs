@@ -439,7 +439,6 @@ mod tests {
 
     #[test]
     fn compaction_matches_a_clean_build_bit_for_bit() {
-        use succinct::io::Persist;
         let store = base_store();
         store.delete(t(1, 0, 2));
         store.insert(t(1, 1, 1));
@@ -451,10 +450,17 @@ mod tests {
             &Graph::new(live, snap.graph.n_nodes(), snap.graph.n_preds()),
             RingOptions::default(),
         );
-        let mut a = Vec::new();
-        snap.ring.write_to(&mut a).unwrap();
-        let mut b = Vec::new();
-        clean.write_to(&mut b).unwrap();
+        let dir = std::env::temp_dir().join(format!("rpq-store-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let index_bytes = |ring: &Ring, name: &str| {
+            let path = dir.join(name);
+            let empty = crate::Dict::new();
+            crate::mapped::write_index(&path, ring, &empty, &empty).unwrap();
+            std::fs::read(&path).unwrap()
+        };
+        let a = index_bytes(&snap.ring, "compacted.rpqm");
+        let b = index_bytes(&clean, "clean.rpqm");
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(a, b, "compacted ring bytes diverge from a clean build");
     }
 

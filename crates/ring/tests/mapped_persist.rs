@@ -1,12 +1,17 @@
-//! Mapped-format (`RRPQM01`) persistence suite: write/open round-trips
-//! over every boundary representation, heap-vs-mmap load equivalence,
-//! and corruption rejection — truncation at every section boundary,
-//! oversized declared lengths, wrong magic (naming both stream
-//! formats), version skew, and misaligned table-of-contents offsets.
+//! Snapshot-format (`RRPQM01`) persistence suite: write/open round-trips
+//! over every boundary representation, the delta overlay and epoch,
+//! version 2 files, heap-vs-mmap load equivalence, and corruption
+//! rejection — truncation at every section boundary, oversized declared
+//! lengths, retired and wrong magics, version skew, and misaligned
+//! table-of-contents offsets.
 
 use std::path::PathBuf;
 
-use ring::mapped::{open_index, write_index, OpenMode, HEADER_LEN, MAPPED_MAGIC};
+use ring::delta::DeltaIndex;
+use ring::durable::{durability_error, DurabilityError};
+use ring::mapped::{
+    open_index, write_index, write_snapshot, OpenMode, HEADER_LEN, MAPPED_MAGIC, SECTION_NAMES,
+};
 use ring::ring::{BoundaryKind, RingOptions};
 use ring::{Dict, Graph, Ring, Triple};
 
@@ -104,6 +109,98 @@ fn empty_graph_roundtrips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The overlay and epoch survive the round-trip, and dictionaries larger
+/// than the ring's universe (append-only interning) are accepted as
+/// long as they cover ring ⊎ delta.
+#[test]
+fn snapshot_roundtrips_delta_and_epoch() {
+    let dir = tmpdir("snapshot");
+    let (graph, mut nodes, preds) = sample();
+    let ring = Ring::build(&graph, RingOptions::default());
+    let delta = sample_delta(&mut nodes, &preds);
+    assert!(nodes.len() as u64 > ring.n_nodes());
+    let path = dir.join("live.rpqm");
+    write_snapshot(&path, &ring, &nodes, &preds, &delta, SAMPLE_EPOCH).unwrap();
+    for mode in [OpenMode::Heap, OpenMode::Auto] {
+        let idx = open_index(&path, mode).unwrap();
+        assert_rings_equal(&ring, &idx.ring);
+        assert_dicts_equal(&nodes, &idx.nodes);
+        assert_eq!(idx.delta, delta);
+        assert_eq!(idx.epoch, SAMPLE_EPOCH);
+    }
+    // An immutable index carries an empty overlay at epoch 0.
+    write_index(&path, &ring, &nodes, &preds).unwrap();
+    let idx = open_index(&path, OpenMode::Heap).unwrap();
+    assert!(idx.delta.is_empty());
+    assert_eq!(idx.epoch, 0);
+
+    // Dictionaries must still cover the delta's nodes.
+    let mut short = Dict::new();
+    for (_, name) in nodes.iter().take(ring.n_nodes() as usize) {
+        short.intern(name);
+    }
+    write_snapshot(&path, &ring, &short, &preds, &delta, 1).unwrap();
+    let msg = open_index(&path, OpenMode::Heap).unwrap_err().to_string();
+    assert!(msg.contains("node dictionary"), "{msg}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites a version 3 image in the version 2 layout: nine sections,
+/// no epoch word in `META`, no `DELTA` section.
+fn as_version_2(v3: &[u8]) -> Vec<u8> {
+    let mut sections: Vec<Vec<u8>> = (0..9)
+        .map(|i| {
+            let off = u64_at(v3, 24 + i * 32 + 8) as usize;
+            let len = u64_at(v3, 24 + i * 32 + 16) as usize;
+            v3[off..off + len].to_vec()
+        })
+        .collect();
+    sections[0].truncate(5 * 8);
+    let mut out = MAPPED_MAGIC.to_vec();
+    out.extend(2u64.to_le_bytes());
+    out.extend(9u64.to_le_bytes());
+    let mut off = 24 + 9 * 32;
+    for (i, sec) in sections.iter().enumerate() {
+        for word in [
+            i as u64 + 1,
+            off as u64,
+            sec.len() as u64,
+            succinct::checksum::crc32c(sec) as u64,
+        ] {
+            out.extend(word.to_le_bytes());
+        }
+        off += sec.len();
+    }
+    for sec in &sections {
+        out.extend(sec);
+    }
+    out
+}
+
+/// Every index and shard file written before the epoch and delta joined
+/// the format is version 2: it opens at epoch 0 with an empty overlay.
+#[test]
+fn version_2_files_open_at_epoch_zero_with_an_empty_delta() {
+    let dir = tmpdir("v2");
+    let (graph, nodes, preds) = sample();
+    let ring = Ring::build(&graph, RingOptions::default());
+    let path = dir.join("v3.rpqm");
+    write_index(&path, &ring, &nodes, &preds).unwrap();
+    let v2 = as_version_2(&std::fs::read(&path).unwrap());
+    let v2_path = dir.join("v2.rpqm");
+    std::fs::write(&v2_path, &v2).unwrap();
+    assert_eq!(ring::mapped::verify_index_checksums(&v2_path).unwrap(), 9);
+    for mode in [OpenMode::Heap, OpenMode::Auto] {
+        let idx = open_index(&v2_path, mode).unwrap();
+        assert_rings_equal(&ring, &idx.ring);
+        assert_dicts_equal(&nodes, &idx.nodes);
+        assert!(idx.delta.is_empty());
+        assert_eq!(idx.delta.n_preds_base(), ring.n_preds_base());
+        assert_eq!(idx.epoch, 0);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[cfg(all(unix, target_pointer_width = "64"))]
 #[test]
 fn heap_and_mmap_opens_are_equivalent() {
@@ -152,14 +249,34 @@ fn fix_crc(bytes: &mut [u8], i: usize) {
     put_u64(bytes, 24 + i * 32 + 24, crc as u64);
 }
 
-/// A valid file image plus its parsed TOC `(offset, len)` list.
+/// A committed overlay over [`sample`]: one added edge to a node the
+/// ring has never seen, one tombstoned base edge.
+fn sample_delta(nodes: &mut Dict, preds: &Dict) -> DeltaIndex {
+    let knows = preds.get("<http://x/knows>").unwrap();
+    let alice = nodes.get("<http://x/alice>").unwrap();
+    let bob = nodes.get("<http://x/bob>").unwrap();
+    let eve = nodes.intern("<http://x/eve>");
+    DeltaIndex::new(
+        vec![Triple::new(eve, knows, alice)],
+        vec![Triple::new(alice, knows, bob)],
+        preds.len() as u64,
+    )
+}
+
+/// Epoch [`valid_image`] persists.
+const SAMPLE_EPOCH: u64 = 7;
+
+/// A valid file image — [`sample`] with [`sample_delta`] at
+/// [`SAMPLE_EPOCH`], so every section is non-trivial — plus its parsed
+/// TOC `(offset, len)` list.
 fn valid_image(dir: &std::path::Path) -> (Vec<u8>, Vec<(usize, usize)>) {
-    let (graph, nodes, preds) = sample();
+    let (graph, mut nodes, preds) = sample();
     let ring = Ring::build(&graph, RingOptions::default());
+    let delta = sample_delta(&mut nodes, &preds);
     let path = dir.join("valid.rpqm");
-    write_index(&path, &ring, &nodes, &preds).unwrap();
+    write_snapshot(&path, &ring, &nodes, &preds, &delta, SAMPLE_EPOCH).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    let toc = (0..9)
+    let toc = (0..SECTION_NAMES.len())
         .map(|i| {
             let at = 24 + i * 32;
             (
@@ -218,19 +335,33 @@ fn oversized_declared_lengths_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Files in the retired stream formats, and checksum-less version 1
+/// files, fail with the typed `RetiredFormat` error naming the format
+/// and the way out (rebuild from the source graph).
 #[test]
 fn wrong_magic_names_the_stream_formats() {
     let dir = tmpdir("magic");
     let (bytes, _) = valid_image(&dir);
-    for stream_magic in [b"RRPQDB01", b"RRPQDU01"] {
+    let mut v1 = bytes.clone();
+    put_u64(&mut v1, 8, 1);
+    let mut retired = vec![("RRPQM01 version 1", v1)];
+    for magic in ["RRPQDB01", "RRPQDB02", "RRPQDU01", "RRPQDU02"] {
         let mut bad = bytes.clone();
-        bad[..8].copy_from_slice(stream_magic);
-        let err = open_bytes(&dir, "stream.rpqm", &bad).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("RRPQDB01") && msg.contains("RRPQDU01"),
-            "error must name the stream formats: {msg}"
+        bad[..8].copy_from_slice(magic.as_bytes());
+        retired.push((magic, bad));
+    }
+    for (format, image) in retired {
+        let err = open_bytes(&dir, "retired.rpqm", &image).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{format}");
+        assert_eq!(
+            durability_error(&err),
+            Some(&DurabilityError::RetiredFormat {
+                format: format.to_string()
+            }),
+            "{format}: {err}"
         );
+        let msg = err.to_string();
+        assert!(msg.contains(format) && msg.contains("rebuild"), "{msg}");
     }
     let mut garbage = bytes.clone();
     garbage[..8].copy_from_slice(b"GARBAGE!");
@@ -302,8 +433,6 @@ fn magic_matches_the_public_constant() {
     let dir = tmpdir("sniff");
     let (bytes, _) = valid_image(&dir);
     assert_eq!(&bytes[..8], &MAPPED_MAGIC);
-    assert!(ring::mapped::is_mapped_file(&dir.join("valid.rpqm")));
-    assert!(!ring::mapped::is_mapped_file(&dir.join("absent.rpqm")));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -331,7 +460,8 @@ impl XorShift {
 fn bit_flip_fuzz_never_yields_wrong_answers() {
     let dir = tmpdir("bitflip");
     let (bytes, _) = valid_image(&dir);
-    let (graph, nodes, preds) = sample();
+    let (graph, mut nodes, preds) = sample();
+    let expect_delta = sample_delta(&mut nodes, &preds);
     let expect_ring = Ring::build(&graph, RingOptions::default());
     let expect: Vec<Triple> = {
         let mut v: Vec<Triple> = expect_ring.iter_triples().collect();
@@ -372,6 +502,8 @@ fn bit_flip_fuzz_never_yields_wrong_answers() {
                 );
                 assert_dicts_equal(&idx.nodes, &nodes);
                 assert_dicts_equal(&idx.preds, &preds);
+                assert_eq!(idx.delta, expect_delta, "flip at byte {off} bit {bit}");
+                assert_eq!(idx.epoch, SAMPLE_EPOCH, "flip at byte {off} bit {bit}");
                 harmless += 1;
             }
         }

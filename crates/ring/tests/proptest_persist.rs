@@ -1,17 +1,43 @@
-//! Persistence round-trips on random inputs: every boundary
-//! representation, graphs, dictionaries, and full rings must survive a
-//! write/read cycle bit-exactly in behaviour.
+//! Persistence round-trips on random inputs: rings over every boundary
+//! representation, dictionaries and the base graph must survive a
+//! `RRPQM01` snapshot write/open cycle bit-exactly in behaviour, and the
+//! delta overlay's encoding must round-trip and reject corrupt input.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use ring::delta::DeltaIndex;
+use ring::mapped::{open_index, write_index, MappedIndex, OpenMode};
 use ring::ring::{BoundaryKind, RingOptions};
-use ring::{Boundaries, Dict, Graph, Ring, Triple};
+use ring::{Dict, Graph, Ring, Triple};
 use succinct::io::Persist;
 
-fn roundtrip<T: Persist>(x: &T) -> T {
-    let mut buf = Vec::new();
-    x.write_to(&mut buf).unwrap();
-    T::read_from(&mut buf.as_slice()).unwrap()
+/// A fresh file path per call: proptest cases run on parallel threads.
+fn scratch_path() -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!("rpq_proptest_persist_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{}.rpqm", SEQ.fetch_add(1, Ordering::Relaxed)))
+}
+
+/// `n` distinct names, `{prefix}{id}`.
+fn names(prefix: &str, n: u64) -> Dict {
+    let mut d = Dict::new();
+    for i in 0..n {
+        d.intern(&format!("{prefix}{i}"));
+    }
+    d
+}
+
+/// Writes a snapshot of `ring` and opens it again (heap-resident, so
+/// every section checksum is verified too).
+fn snapshot_roundtrip(ring: &Ring, nodes: &Dict, preds: &Dict) -> MappedIndex {
+    let path = scratch_path();
+    write_index(&path, ring, nodes, preds).unwrap();
+    let idx = open_index(&path, OpenMode::Heap).unwrap();
+    std::fs::remove_file(&path).ok();
+    idx
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -35,49 +61,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn boundaries_roundtrip_all_kinds(counts in prop::collection::vec(0u64..20, 1..30)) {
-        for b in [
-            Boundaries::dense_from_counts(&counts),
-            Boundaries::sparse_from_counts(&counts),
-            Boundaries::elias_fano_from_counts(&counts),
-        ] {
-            let back = roundtrip(&b);
-            for c in 0..=counts.len() as u64 {
-                prop_assert_eq!(b.get(c), back.get(c), "C[{}]", c);
-            }
-            let n = b.get(counts.len() as u64);
-            for pos in 0..n {
-                prop_assert_eq!(b.owner(pos), back.owner(pos));
-            }
-        }
-    }
-
-    #[test]
     fn ring_roundtrip_all_kinds(g in arb_graph()) {
+        let (nodes, preds) = (names("n", g.n_nodes()), names("p", g.n_preds()));
         for kind in [BoundaryKind::Dense, BoundaryKind::Sparse, BoundaryKind::EliasFano] {
             let ring = Ring::build(&g, RingOptions { with_inverses: true, node_boundaries: kind });
-            let back = roundtrip(&ring);
+            let back = snapshot_roundtrip(&ring, &nodes, &preds).ring;
             prop_assert_eq!(back.n_triples(), ring.n_triples());
             prop_assert_eq!(back.n_preds_base(), ring.n_preds_base());
             let a: Vec<Triple> = ring.iter_triples().collect();
             let b: Vec<Triple> = back.iter_triples().collect();
             prop_assert_eq!(a, b, "{:?}", kind);
+            for v in 0..ring.n_nodes() {
+                prop_assert_eq!(ring.subject_range(v), back.subject_range(v));
+                prop_assert_eq!(ring.object_range(v), back.object_range(v));
+            }
         }
     }
 
+    /// The snapshot stores no graph: the base triples are decoded from
+    /// the ring (which indexes `G↔`) and must come back exactly, next to
+    /// dictionaries holding arbitrary names.
     #[test]
-    fn graph_and_dict_roundtrip(g in arb_graph(), names in prop::collection::vec("[a-z]{1,8}", 0..20)) {
-        let back = roundtrip(&g);
-        prop_assert_eq!(g.triples(), back.triples());
-
-        let mut d = Dict::new();
-        for n in &names {
-            d.intern(n);
+    fn graph_and_dict_roundtrip(g in arb_graph(), extra in prop::collection::vec("[a-z]{1,8}", 0..20)) {
+        let mut nodes = names("n", g.n_nodes());
+        for name in &extra {
+            nodes.intern(name);
         }
-        let back = roundtrip(&d);
-        prop_assert_eq!(back.len(), d.len());
-        for (id, name) in d.iter() {
-            prop_assert_eq!(back.get(name), Some(id));
+        let ring = Ring::build(&g, RingOptions::default());
+        let idx = snapshot_roundtrip(&ring, &nodes, &names("p", g.n_preds()));
+        let base = idx.ring.n_preds_base();
+        let back: Vec<Triple> = idx.ring.iter_triples().filter(|t| t.p < base).collect();
+        let back = Graph::new(back, g.n_nodes(), base);
+        prop_assert_eq!(back.triples(), g.triples());
+        prop_assert_eq!(idx.nodes.len(), nodes.len());
+        for (id, name) in nodes.iter() {
+            prop_assert_eq!(idx.nodes.get(name), Some(id));
         }
     }
 
@@ -87,13 +105,14 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let ring = Ring::build(&g, RingOptions::default());
-        let mut buf = Vec::new();
-        ring.write_to(&mut buf).unwrap();
-        let cut = ((buf.len() as f64) * cut_frac) as usize;
+        let path = scratch_path();
+        write_index(&path, &ring, &names("n", g.n_nodes()), &names("p", g.n_preds())).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
         // Every truncation must produce Err, never a panic or a bogus Ok.
-        if cut < buf.len() {
-            prop_assert!(Ring::read_from(&mut &buf[..cut]).is_err());
-        }
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        prop_assert!(open_index(&path, OpenMode::Heap).is_err());
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -168,21 +187,20 @@ proptest! {
     }
 }
 
-/// A future format bump must fail with an error naming both versions
-/// (the `crates/succinct/src/io.rs` convention), not a decode panic.
+/// A future codec bump must fail with an error naming both versions,
+/// not a decode panic.
 #[test]
 fn delta_future_format_version_is_a_clear_error() {
-    use succinct::io::FORMAT_VERSION;
     let d = DeltaIndex::new(vec![Triple::new(0, 0, 1)], vec![Triple::new(1, 1, 0)], 2);
     let mut buf = Vec::new();
     d.write_to(&mut buf).unwrap();
-    buf[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+    let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    buf[4..8].copy_from_slice(&(version + 1).to_le_bytes());
     let err = DeltaIndex::read_from(&mut buf.as_slice()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let msg = err.to_string();
     assert!(
-        msg.contains(&format!("{}", FORMAT_VERSION + 1))
-            && msg.contains(&format!("expected {FORMAT_VERSION}")),
+        msg.contains(&format!("{}", version + 1)) && msg.contains(&format!("expected {version}")),
         "unhelpful version error: {msg}"
     );
 }
@@ -203,7 +221,7 @@ fn delta_out_of_alphabet_predicate_is_rejected() {
 }
 
 /// Degenerate alphabet: an empty graph (zero predicates) stores its
-/// wavelet sigma clamped to 1; the load-time inverse-alphabet check
+/// wavelet sigma clamped to 1; the open-time inverse-alphabet check
 /// must accept it (found by CLI probing: `build empty.nt` produced an
 /// index that then failed to load).
 #[test]
@@ -221,7 +239,7 @@ fn empty_graph_ring_roundtrips() {
                 node_boundaries: kind,
             },
         );
-        let back = roundtrip(&ring);
+        let back = snapshot_roundtrip(&ring, &Dict::new(), &Dict::new()).ring;
         assert_eq!(back.n_triples(), 0);
         assert_eq!(back.n_preds_base(), 0);
         assert_eq!(back.iter_triples().count(), 0);

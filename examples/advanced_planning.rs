@@ -5,12 +5,12 @@
 //! Run with: `cargo run --release --example advanced_planning`
 
 use automata::Regex;
+use ring::mapped::{open_index, write_index, OpenMode};
 use ring::ring::RingOptions;
-use ring::Ring;
+use ring::{Dict, Ring};
 use rpq_core::split::{best_split, evaluate_split};
 use rpq_core::stats::RingStatistics;
 use rpq_core::{EngineOptions, RpqEngine, RpqQuery, Term};
-use succinct::io::Persist;
 use workload::{GraphGen, GraphGenConfig};
 
 fn main() {
@@ -74,15 +74,24 @@ fn main() {
     );
 
     // --- Persistence -----------------------------------------------------
-    let path = std::env::temp_dir().join("advanced_planning.ring");
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        ring.write_to(&mut f).unwrap();
-    }
-    let loaded = {
-        let mut f = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-        Ring::read_from(&mut f).unwrap()
+    // The snapshot format stores the dictionaries beside the ring; this
+    // id-level graph names its nodes and predicates by their ids.
+    let names = |n: u64| {
+        let mut d = Dict::new();
+        for id in 0..n {
+            d.intern(&id.to_string());
+        }
+        d
     };
+    let path = std::env::temp_dir().join("advanced_planning.rpqm");
+    write_index(
+        &path,
+        &ring,
+        &names(ring.n_nodes()),
+        &names(ring.n_preds_base()),
+    )
+    .unwrap();
+    let loaded = open_index(&path, OpenMode::Auto).unwrap().ring;
     println!(
         "\npersisted ring: {} bytes on disk, {} triples reload identically",
         std::fs::metadata(&path).unwrap().len(),

@@ -98,19 +98,15 @@ const USAGE: &str = "usage:
                                                  sharded index directories too
   rpq-cli bench <index.db> <s> <expr> <o> [n]    time a query n times
 build options:
-  --mmap           write the aligned RRPQM01 format: the file is usable
-                   in place, so later opens map it zero-copy instead of
-                   deserializing (default: the RRPQDB02 stream format)
   --shards <n>     write a horizontally sharded index instead: <index.db>
                    becomes a directory of n mappable RRPQM01 shard files
                    plus a checksummed manifest; query/serve/batch/stats
                    open it transparently and answers are bit-identical
                    to the unsharded index
 query/serve/batch/stats/bench options:
-  --mmap | --heap  for RRPQM01 index files, require a kernel mapping /
-                   force an aligned heap read (default: map when the
-                   platform supports it); stream-format files always
-                   load to the heap
+  --mmap | --heap  require a kernel mapping / force an aligned heap read
+                   of the index (default: map when the platform supports
+                   it)
 query/batch options:
   --explain        print the planner's chosen plan (route, direction,
                    split label, cost estimate) as stable JSON, one object
@@ -161,13 +157,11 @@ impl From<String> for CliError {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let (mmap, rest) = split_flag(args, "--mmap");
-    let (shards, rest) = split_uint_flag(&rest, "--shards")?;
+    let (shards, rest) = split_uint_flag(args, "--shards")?;
     let [input, output] = &rest[..] else {
-        return Err(format!(
-            "build needs <graph.txt|graph.nt> <index.db> [--mmap] [--shards n]\n{USAGE}"
-        )
-        .into());
+        return Err(
+            format!("build needs <graph.txt|graph.nt> <index.db> [--shards n]\n{USAGE}").into(),
+        );
     };
     if shards == Some(0) {
         return Err("--shards must be at least 1".to_string().into());
@@ -183,8 +177,8 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         build_secs
     );
     if let Some(n) = shards {
-        // A sharded index is a directory: one mappable RRPQM01 file per
-        // shard, bound by a checksummed RRPQSH01 manifest.
+        // A sharded index is a directory: one RRPQM01 file per shard,
+        // bound by a checksummed RRPQSH01 manifest.
         let bytes = db
             .save_sharded(Path::new(output), n)
             .map_err(|e| format!("writing {output}: {e}"))?;
@@ -196,23 +190,13 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if mmap {
-        db.save_mapped(Path::new(output))
-            .map_err(|e| format!("writing {output}: {e}"))?;
-    } else {
-        db.save(Path::new(output))
-            .map_err(|e| format!("writing {output}: {e}"))?;
-    }
+    db.save(Path::new(output))
+        .map_err(|e| format!("writing {output}: {e}"))?;
     println!(
-        "ring: {} bytes ({:.2} bytes/edge) -> {} ({})",
+        "ring: {} bytes ({:.2} bytes/edge) -> {} (RRPQM01, mappable)",
         db.ring().size_bytes(),
         db.ring().size_bytes() as f64 / db.graph().len().max(1) as f64,
         output,
-        if mmap {
-            "RRPQM01, mappable"
-        } else {
-            "RRPQDB02"
-        }
     );
     Ok(())
 }
@@ -237,42 +221,34 @@ fn split_residency(args: &[String]) -> Result<(OpenMode, Vec<String>), CliError>
 }
 
 fn load_as(path: &str, mode: OpenMode) -> Result<RpqDatabase, CliError> {
-    // `open` dispatches on the magic (RRPQM01 is mapped in place,
-    // RRPQDB01 deserializes); updatable files (those carrying a delta
-    // overlay) load too: the overlay is folded in memory; the file
-    // itself is left as-is.
-    match RpqDatabase::open_with(Path::new(path), mode) {
-        Ok(db) => Ok(db),
-        Err(first) => match UpdatableDatabase::load(Path::new(path)) {
-            Ok(db) => Ok(db.into_database()),
-            Err(_) => Err(CliError::Other(format!("loading {path}: {first}"))),
-        },
-    }
+    RpqDatabase::open_with(Path::new(path), mode)
+        .map_err(|e| CliError::Other(format!("loading {path}: {e}")))
 }
 
 fn load(path: &str) -> Result<RpqDatabase, CliError> {
     load_as(path, OpenMode::Auto)
 }
 
+/// Opens an index for updating, durably: orphaned temp files from an
+/// interrupted save are cleaned up, the `<path>.wal` log is recovered
+/// (replaying commits a crash kept from reaching the snapshot), and
+/// subsequent commits are write-ahead logged.
 fn load_updatable(path: &str) -> Result<UpdatableDatabase, CliError> {
-    // A mapped index is immutable on disk; promote it to an in-memory
-    // updatable database (dictionaries go to the heap on first intern).
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(path)) {
-        return RpqDatabase::open(Path::new(path))
-            .map(RpqDatabase::into_updatable)
-            .map_err(|e| CliError::Other(format!("loading {path}: {e}")));
-    }
-    // Stream-format indexes open durably: orphaned temp files from an
-    // interrupted save are cleaned up, the `<path>.wal` log is recovered
-    // (replaying commits a crash kept from reaching the snapshot), and
-    // subsequent commits are write-ahead logged.
     UpdatableDatabase::open_durable(Path::new(path))
         .map_err(|e| CliError::Other(format!("loading {path}: {e}")))
 }
 
+/// Saves an updated index back over itself: a checkpoint, which also
+/// rotates its write-ahead log.
+fn checkpoint(db: &UpdatableDatabase, index: &str) -> Result<(), CliError> {
+    db.checkpoint()
+        .map(|_| ())
+        .map_err(|e| CliError::Other(format!("writing {index}: {e}")))
+}
+
 /// `insert`/`delete`: apply a delta file to a persisted database in one
-/// committed batch, auto-compacting on the size-ratio trigger, and save
-/// the result back.
+/// write-ahead-logged batch, auto-compacting on the size-ratio trigger,
+/// and checkpoint the result.
 fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
     let verb = if is_insert { "insert" } else { "delete" };
     let [index, delta_file] = args else {
@@ -291,18 +267,11 @@ fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
         (false, false) => db.delete_text(&text),
     }
     .map_err(|e| CliError::Other(e.to_string()))?;
-    let epoch = db.commit();
+    let epoch = db
+        .commit_durable()
+        .map_err(|e| CliError::Other(format!("logging the commit to {index}: {e}")))?;
     let stats = db.stats();
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(index)) {
-        // Keep a mapped index mapped: fold the delta and rewrite the
-        // RRPQM01 file in place.
-        db.into_database()
-            .save_mapped(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    } else {
-        db.save(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    }
+    checkpoint(&db, index)?;
     println!(
         "{verb}: {n} triples committed at epoch {epoch} (delta: +{} -{}; compactions: {})",
         stats.delta_adds, stats.delta_deletes, stats.compactions
@@ -310,8 +279,8 @@ fn cmd_update(args: &[String], is_insert: bool) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `compact`: rebuild the ring from ring + delta and persist the result
-/// (the file returns to the immutable format).
+/// `compact`: rebuild the ring from ring + delta and checkpoint the
+/// result (the snapshot's overlay is empty afterwards).
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let [index] = args else {
         return Err(format!("compact needs <index.db>\n{USAGE}").into());
@@ -321,14 +290,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let t = Instant::now();
     let epoch = db.compact();
     let secs = t.elapsed().as_secs_f64();
-    if ring_rpq::ring::mapped::is_mapped_file(Path::new(index)) {
-        db.into_database()
-            .save_mapped(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    } else {
-        db.save(Path::new(index))
-            .map_err(|e| format!("writing {index}: {e}"))?;
-    }
+    checkpoint(&db, index)?;
     println!(
         "compacted {} adds and {} deletes into the ring in {secs:.2}s (epoch {epoch})",
         before.delta_adds, before.delta_deletes
@@ -862,10 +824,10 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `verify`: deep-check an index file without modifying it — header
-/// magic, whole-file or per-section checksums, cross-component
-/// consistency (dictionary/alphabet/universe invariants), and the
-/// write-ahead-log tail when a `<index>.wal` sibling exists. Prints a
-/// one-line JSON report to stdout; exits 0 when healthy, 2 when corrupt.
+/// magic, per-section checksums, cross-component consistency
+/// (dictionary/alphabet/universe invariants), and the write-ahead-log
+/// tail when a `<index>.wal` sibling exists. Prints a one-line JSON
+/// report to stdout; exits 0 when healthy, 2 when corrupt or unreadable.
 fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     let [index] = args else {
         return Err(format!("verify needs <index.db>\n{USAGE}").into());
@@ -899,26 +861,20 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    let format = match &magic {
-        b"RRPQM01\0" => "RRPQM01",
-        b"RRPQDB02" => "RRPQDB02",
-        b"RRPQDB01" => "RRPQDB01",
-        b"RRPQDU02" => "RRPQDU02",
-        b"RRPQDU01" => "RRPQDU01",
-        _ => return fail("unknown", "header", "unrecognised magic".to_string()),
+    let format = if magic == ring_rpq::ring::mapped::MAPPED_MAGIC {
+        "RRPQM01"
+    } else {
+        "unknown"
     };
-    // Payload integrity + cross-component consistency. Both paths touch
-    // every byte: the mapped verifier heap-opens with section CRCs, the
-    // stream loader hashes the file against its footer while parsing.
-    let (checksummed, sections, epoch) = match format {
-        "RRPQM01" => match ring_rpq::ring::mapped::verify_index_checksums(path) {
-            Ok(n) => (n > 0, n as u64, None),
-            Err(e) => return fail(format, "checksums", e.to_string()),
-        },
-        _ => match UpdatableDatabase::load(path) {
-            Ok(db) => (format.ends_with("02"), 0, Some(db.epoch())),
-            Err(e) => return fail(format, "checksums", e.to_string()),
-        },
+    // Payload integrity, then cross-component consistency: the
+    // checksum pass and the heap open both touch every byte.
+    let sections = match ring_rpq::ring::mapped::verify_index_checksums(path) {
+        Ok(n) => n,
+        Err(e) => return fail(format, "checksums", e.to_string()),
+    };
+    let epoch = match ring_rpq::ring::mapped::open_index(path, OpenMode::Heap) {
+        Ok(idx) => idx.epoch,
+        Err(e) => return fail(format, "consistency", e.to_string()),
     };
     // WAL tail: parse-only (no truncation), committed batches counted,
     // and the base epoch must not be ahead of the snapshot.
@@ -934,17 +890,15 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             Ok(rec) => rec,
             Err(e) => return fail(format, "wal", e.to_string()),
         };
-        if let Some(epoch) = epoch {
-            if rec.base_epoch > epoch {
-                return fail(
-                    format,
-                    "wal",
-                    format!(
-                        "WAL base epoch {} is ahead of snapshot epoch {epoch}",
-                        rec.base_epoch
-                    ),
-                );
-            }
+        if rec.base_epoch > epoch {
+            return fail(
+                format,
+                "wal",
+                format!(
+                    "WAL base epoch {} is ahead of snapshot epoch {epoch}",
+                    rec.base_epoch
+                ),
+            );
         }
         format!(
             "{{\"base_epoch\":{},\"batches\":{},\"ops\":{},\"torn_bytes\":{}}}",
@@ -960,11 +914,10 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     // opening the index durably would clean them up).
     let orphans = count_orphan_tmps(path);
     println!(
-        "{{\"path\":{},\"format\":{},\"status\":\"ok\",\"checksummed\":{checksummed},\
-         \"checksum_sections\":{sections},\"epoch\":{},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
+        "{{\"path\":{},\"format\":{},\"status\":\"ok\",\"checksummed\":true,\
+         \"checksum_sections\":{sections},\"epoch\":{epoch},\"wal\":{wal_json},\"orphan_tmp\":{orphans}}}",
         rpq_core::jsonw::quoted(index),
         rpq_core::jsonw::quoted(format),
-        epoch.map_or_else(|| "null".to_string(), |e| e.to_string()),
     );
     Ok(())
 }

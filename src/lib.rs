@@ -96,8 +96,8 @@ impl std::error::Error for DbError {}
 /// [`automata::parser`]: `/` concatenation, `|` alternation, `*`/`+`/`?`
 /// closures, `^p` inverse steps, `!(p|q)` negated label sets.
 pub struct RpqDatabase {
-    /// Lazily materialized: a database opened from a mapped `RRPQM01`
-    /// file reconstructs the base graph from the ring only if asked.
+    /// Lazily materialized: a database opened from a `RRPQM01` file
+    /// reconstructs the base graph from the ring only if asked.
     graph: OnceLock<Graph>,
     ring: Arc<Ring>,
     /// Present when the database was opened from (or built as) a sharded
@@ -218,6 +218,19 @@ impl RpqDatabase {
         (graph, ring, self.nodes, self.preds)
     }
 
+    /// Wraps an opened ring and its dictionaries; the graph is
+    /// reconstructed from the ring on first use.
+    pub(crate) fn from_opened(ring: Ring, nodes: Dict, preds: Dict) -> Self {
+        Self {
+            graph: OnceLock::new(),
+            ring: Arc::new(ring),
+            shards: None,
+            nodes,
+            preds,
+            open_info: OpenInfo::default(),
+        }
+    }
+
     pub(crate) fn from_built_parts(
         graph: Graph,
         ring: Arc<Ring>,
@@ -239,8 +252,8 @@ impl RpqDatabase {
         &self.ring
     }
 
-    /// The underlying graph. Databases opened from a mapped `RRPQM01`
-    /// file carry no graph payload; the first call reconstructs it from
+    /// The underlying graph. Databases opened from a `RRPQM01` file
+    /// carry no graph payload; the first call reconstructs it from
     /// the ring (the ring stores `G↔`, so decoding keeps the base
     /// triples `p < n_preds_base` only).
     pub fn graph(&self) -> &Graph {
@@ -381,46 +394,40 @@ impl RpqDatabase {
         }
     }
 
-    /// Persists the database (graph, dictionaries and the prebuilt ring)
-    /// to a file; [`Self::load`] restores it without re-indexing. The
-    /// write is atomic (temp file + fsync + rename) and the `RRPQDB02`
-    /// format carries a whole-file CRC32C footer verified on load.
+    /// Persists the database as a `RRPQM01` snapshot (see
+    /// [`ring::mapped`]): the ring and dictionaries, aligned so that
+    /// [`Self::open`] maps the file and answers queries without
+    /// deserializing. The write is atomic (temp file + fsync + rename)
+    /// and every section carries a CRC32C. A sharded database is saved
+    /// as one ring over its base graph.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use succinct::io::Persist;
-        ring::durable::atomic_write(path, |w| {
-            let mut cw = succinct::checksum::CrcWriter::new(w);
-            std::io::Write::write_all(&mut cw, b"RRPQDB02")?;
-            self.graph().write_to(&mut cw)?;
-            self.nodes.write_to(&mut cw)?;
-            self.preds.write_to(&mut cw)?;
-            self.ring.write_to(&mut cw)?;
-            ring::durable::finish_footer(&mut cw)
-        })
-        .map(|_| ())
+        let merged;
+        let ring = match &self.shards {
+            Some(_) => {
+                merged = Ring::build(self.graph(), RingOptions::default());
+                &merged
+            }
+            None => &*self.ring,
+        };
+        ring::mapped::write_index(path, ring, &self.nodes, &self.preds).map(|_| ())
     }
 
-    /// Persists the database to the aligned, mappable `RRPQM01` format
-    /// (see [`ring::mapped`]). Unlike [`Self::save`], the file is usable
-    /// *in place*: [`Self::open`] maps it and answers queries without
-    /// deserializing, so cold starts cost page faults instead of a full
-    /// index rebuild. Returns the total bytes written.
-    pub fn save_mapped(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        ring::mapped::write_index(path, &self.ring, &self.nodes, &self.preds)
-    }
-
-    /// Opens a persisted database, dispatching on the file magic:
-    /// `RRPQM01` files ([`Self::save_mapped`]) are mapped zero-copy,
-    /// `RRPQDB01` files ([`Self::save`]) are deserialized to the heap.
-    /// [`Self::open_info`] reports which path was taken and how long it
-    /// took.
+    /// Opens a database saved with [`Self::save`] (or
+    /// [`UpdatableDatabase::save`]), or a sharded index directory
+    /// ([`Self::save_sharded`]), mapping it zero-copy where the platform
+    /// allows. [`Self::open_info`] reports which residency was taken and
+    /// how long the open took.
     pub fn open(path: &std::path::Path) -> std::io::Result<Self> {
         Self::open_with(path, OpenMode::Auto)
     }
 
-    /// [`Self::open`] with an explicit residency request for mapped
-    /// files: [`OpenMode::Mmap`] requires a real kernel mapping,
+    /// [`Self::open`] with an explicit residency request:
+    /// [`OpenMode::Mmap`] requires a real kernel mapping,
     /// [`OpenMode::Heap`] forces an aligned heap read (the differential-
-    /// testing path). Stream-format files always load to the heap.
+    /// testing path). A snapshot that carries a committed update overlay
+    /// (saved by an [`UpdatableDatabase`]) is folded into a fresh
+    /// heap-resident ring, so the immutable database answers over
+    /// exactly the committed state.
     pub fn open_with(path: &std::path::Path, mode: OpenMode) -> std::io::Result<Self> {
         if ring::sharded::is_sharded_dir(path) {
             return Self::open_sharded(path, mode);
@@ -433,25 +440,18 @@ impl RpqDatabase {
                 path.display()
             );
         }
-        if ring::mapped::is_mapped_file(path) {
-            let idx = ring::mapped::open_index(path, mode)?;
-            Ok(Self {
-                graph: OnceLock::new(),
-                ring: Arc::new(idx.ring),
-                shards: None,
-                nodes: idx.nodes,
-                preds: idx.preds,
-                open_info: OpenInfo {
-                    open_us: t0.elapsed().as_micros() as u64,
-                    resident: idx.resident,
-                    mapped_bytes: idx.mapped_bytes,
-                },
-            })
+        let idx = ring::mapped::open_index(path, mode)?;
+        let mut db = if idx.delta.is_empty() {
+            let (resident, mapped_bytes) = (idx.resident, idx.mapped_bytes);
+            let mut db = Self::from_opened(idx.ring, idx.nodes, idx.preds);
+            db.open_info.resident = resident;
+            db.open_info.mapped_bytes = mapped_bytes;
+            db
         } else {
-            let mut db = Self::load(path)?;
-            db.open_info.open_us = t0.elapsed().as_micros() as u64;
-            Ok(db)
-        }
+            UpdatableDatabase::from_index(idx).into_database()
+        };
+        db.open_info.open_us = t0.elapsed().as_micros() as u64;
+        Ok(db)
     }
 
     /// Starts a concurrent query server over this database (see
@@ -480,48 +480,10 @@ impl RpqDatabase {
         rpq_server::RpqServer::start(std::sync::Arc::new(self), config)
     }
 
-    /// Loads a database persisted with [`Self::save`]. `RRPQDB02` files
-    /// are verified against their checksum footer; legacy `RRPQDB01`
-    /// files still load, with a warning that they carry no integrity
-    /// protection.
+    /// Loads a database persisted with [`Self::save`]: the same as
+    /// [`Self::open`].
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        use succinct::io::{bad_data, Persist};
-        let file = ring::durable::FaultReader::new(std::fs::File::open(path)?);
-        let mut f = succinct::checksum::CrcReader::new(std::io::BufReader::new(file));
-        let mut magic = [0u8; 8];
-        std::io::Read::read_exact(&mut f, &mut magic)?;
-        let checksummed = match &magic {
-            b"RRPQDB02" => true,
-            b"RRPQDB01" => {
-                eprintln!(
-                    "warning: {} is format RRPQDB01 (no checksum footer); re-save to upgrade",
-                    path.display()
-                );
-                false
-            }
-            _ => return Err(bad_data("not a ring-rpq database file")),
-        };
-        let graph = Graph::read_from(&mut f)?;
-        let nodes = Dict::read_from(&mut f)?;
-        let preds = Dict::read_from(&mut f)?;
-        let ring = Ring::read_from(&mut f)?;
-        if checksummed {
-            ring::durable::verify_footer(&mut f, &path.display().to_string())?;
-        }
-        if nodes.len() as Id != graph.n_nodes() || preds.len() as Id != graph.n_preds() {
-            return Err(bad_data("dictionary sizes do not match the graph"));
-        }
-        if ring.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("ring alphabet does not match the graph"));
-        }
-        Ok(Self {
-            graph: OnceLock::from(graph),
-            ring: Arc::new(ring),
-            shards: None,
-            nodes,
-            preds,
-            open_info: OpenInfo::default(),
-        })
+        Self::open(path)
     }
 
     /// Persists the database as a **sharded** index directory: the base
@@ -687,8 +649,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("idx.rpqm");
         let db = RpqDatabase::from_text("a p b\nb p c\nc q a\n").unwrap();
-        let bytes = db.save_mapped(&path).unwrap();
-        assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+        db.save(&path).unwrap();
         for mode in [OpenMode::Auto, OpenMode::Heap] {
             let back = RpqDatabase::open_with(&path, mode).unwrap();
             assert_eq!(
@@ -704,15 +665,6 @@ mod tests {
             assert_eq!(back.graph().triples(), db.graph().triples());
             assert_eq!(back.open_info().mapped_bytes == 0, mode == OpenMode::Heap);
         }
-        // `open` also dispatches on the stream format.
-        let stream = dir.join("idx.rpqdb");
-        db.save(&stream).unwrap();
-        let back = RpqDatabase::open(&stream).unwrap();
-        assert_eq!(back.open_info().resident, ResidentMode::Heap);
-        assert_eq!(
-            back.query("a", "p+", "?y").unwrap(),
-            db.query("a", "p+", "?y").unwrap()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -722,7 +674,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("idx.rpqm");
         let db = RpqDatabase::from_text("a p b\nb p c\n").unwrap();
-        db.save_mapped(&path).unwrap();
+        db.save(&path).unwrap();
         let live = RpqDatabase::open(&path).unwrap().into_updatable();
         live.insert("c", "p", "d");
         live.commit();
@@ -763,6 +715,15 @@ mod tests {
         }
         // The reconstructed graph is the exact base triple set.
         assert_eq!(sharded.graph().triples(), db.graph().triples());
+        // Saving a sharded database writes one ring over all shards.
+        let single = dir.with_extension("rpqm");
+        sharded.save(&single).unwrap();
+        let reopened = RpqDatabase::open(&single).unwrap();
+        assert_eq!(
+            reopened.query("?x", "p/q", "?y").unwrap(),
+            db.query("?x", "p/q", "?y").unwrap()
+        );
+        std::fs::remove_file(&single).ok();
 
         // Serving: the server scatter-gathers and exports per-shard rows.
         use rpq_server::{QuerySource, ServerConfig};

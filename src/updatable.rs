@@ -16,25 +16,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use ring::delta::DeltaIndex;
+use ring::mapped::{MappedIndex, OpenMode};
 use ring::store::{StoreSnapshot, StoreStats, TripleStore};
 use ring::wal::{Wal, WalOp};
 use ring::{Dict, Graph, Id, Ring, Triple};
 use rpq_core::{EngineOptions, QueryOutput, RpqEngine, RpqQuery, SourceSnapshot, Term};
-use succinct::checksum::{CrcReader, CrcWriter};
-use succinct::io::Persist;
 
 use crate::{DbError, RpqDatabase};
-
-/// File magic of the updatable on-disk format ([`UpdatableDatabase::save`]),
-/// current (checksum-footed) revision.
-const MAGIC_UPDATABLE: &[u8; 8] = b"RRPQDU02";
-/// File magic of the immutable format ([`RpqDatabase::save`]), current
-/// (checksum-footed) revision.
-const MAGIC_IMMUTABLE: &[u8; 8] = b"RRPQDB02";
-/// Pre-checksum revision of the updatable format (read-compat only).
-const MAGIC_UPDATABLE_V1: &[u8; 8] = b"RRPQDU01";
-/// Pre-checksum revision of the immutable format (read-compat only).
-const MAGIC_IMMUTABLE_V1: &[u8; 8] = b"RRPQDB01";
 
 struct Dicts {
     nodes: Dict,
@@ -85,6 +73,27 @@ impl UpdatableDatabase {
         let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
         Self {
             store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), 0),
+            dicts: RwLock::new(Dicts { nodes, preds }),
+            durable: Mutex::new(None),
+        }
+    }
+
+    /// Wraps an opened snapshot: the store's graph is reconstructed from
+    /// the ring, and the persisted overlay and epoch carry over.
+    pub(crate) fn from_index(idx: MappedIndex) -> Self {
+        let MappedIndex {
+            ring,
+            nodes,
+            preds,
+            delta,
+            epoch,
+            ..
+        } = idx;
+        let (graph, ring, nodes, preds) =
+            RpqDatabase::from_opened(ring, nodes, preds).into_raw_parts();
+        let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
+        Self {
+            store: TripleStore::from_built(graph, ring, delta, epoch),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
         }
@@ -406,18 +415,15 @@ impl UpdatableDatabase {
             .map_err(DbError::Query)
     }
 
-    /// Persists the committed state (graph, dictionaries, ring, delta,
-    /// epoch). Buffered, *uncommitted* operations are not saved. When
-    /// the overlay is empty **and** the dictionaries match the graph's
-    /// id universes exactly, the file uses the immutable format,
-    /// loadable by [`RpqDatabase::load`] too; otherwise the updatable
-    /// format carries the larger (append-only) dictionaries safely.
-    /// (Writes are atomic: a temp file in the same directory is fsynced
-    /// and renamed over `path`, so a crashed save leaves the previous
-    /// file intact. The payload carries a CRC32C footer that loads
-    /// verify. On a [`Self::open_durable`] database, saving to the
-    /// opened path is a **checkpoint**: the write-ahead log is rotated
-    /// back to empty once the snapshot covers it.)
+    /// Persists the committed state — ring, dictionaries, delta overlay
+    /// and epoch — as a `RRPQM01` snapshot (see [`ring::mapped`]).
+    /// Buffered, *uncommitted* operations are not saved. The write is
+    /// atomic: a temp file in the same directory is fsynced and renamed
+    /// over `path`, so a crashed save leaves the previous file intact,
+    /// and engines still reading a mapping of the previous file keep
+    /// their bytes. Every section carries a CRC32C that loads verify. On
+    /// a [`Self::open_durable`] database, saving to the opened path is a
+    /// **checkpoint**: the write-ahead log is rotated to the saved epoch.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         // Hold the durability lock across snapshot → write → rotate so
         // no commit can slip between the persisted snapshot and the
@@ -425,37 +431,17 @@ impl UpdatableDatabase {
         let mut durable = self.durable.lock().unwrap();
         let snap = self.store.snapshot();
         let dicts = self.dicts.read().unwrap();
-        // Append-only interning can leave the dicts larger than the
-        // committed graph (names used only by uncommitted or deleted
-        // triples); RpqDatabase::load requires exact sizes.
-        let immutable = snap.delta.is_empty()
-            && dicts.nodes.len() as Id == snap.graph.n_nodes()
-            && dicts.preds.len() as Id == snap.graph.n_preds();
-        ring::durable::atomic_write(path, |out| {
-            use std::io::Write;
-            let mut f = CrcWriter::new(out);
-            f.write_all(if immutable {
-                MAGIC_IMMUTABLE
-            } else {
-                MAGIC_UPDATABLE
-            })?;
-            snap.graph.write_to(&mut f)?;
-            dicts.nodes.write_to(&mut f)?;
-            dicts.preds.write_to(&mut f)?;
-            snap.ring.write_to(&mut f)?;
-            if !immutable {
-                snap.delta.write_to(&mut f)?;
-                succinct::io::write_u64(&mut f, snap.epoch)?;
-            }
-            ring::durable::finish_footer(&mut f)
-        })?;
+        ring::mapped::write_snapshot(
+            path,
+            &snap.ring,
+            &dicts.nodes,
+            &dicts.preds,
+            &snap.delta,
+            snap.epoch,
+        )?;
         if let Some(state) = durable.as_mut() {
             if state.path == path {
-                // The immutable format carries no epoch field and
-                // reloads at 0, so the rotated log must base itself on
-                // the epoch the file actually persists — a log ahead of
-                // its snapshot is rejected on open as another index's.
-                state.wal.rotate(if immutable { 0 } else { snap.epoch })?;
+                state.wal.rotate(snap.epoch)?;
             }
         }
         Ok(())
@@ -486,65 +472,12 @@ impl UpdatableDatabase {
         self.durable.lock().unwrap().is_some()
     }
 
-    /// Loads a database persisted by [`Self::save`] **or**
-    /// [`RpqDatabase::save`] (an immutable file loads with an empty
-    /// overlay at epoch 0).
+    /// Loads a database persisted by [`Self::save`] or
+    /// [`RpqDatabase::save`] (an immutable snapshot loads with an empty
+    /// overlay at epoch 0). Every section checksum is verified, since
+    /// rebuilding the store's graph reads the whole ring anyway.
     pub fn load(path: &Path) -> std::io::Result<Self> {
-        use succinct::io::bad_data;
-        let file = std::fs::File::open(path)?;
-        let mut f = CrcReader::new(std::io::BufReader::new(ring::durable::FaultReader::new(
-            file,
-        )));
-        let mut magic = [0u8; 8];
-        std::io::Read::read_exact(&mut f, &mut magic)?;
-        let (updatable, checksummed) = match &magic {
-            m if m == MAGIC_UPDATABLE => (true, true),
-            m if m == MAGIC_IMMUTABLE => (false, true),
-            m if m == MAGIC_UPDATABLE_V1 => (true, false),
-            m if m == MAGIC_IMMUTABLE_V1 => (false, false),
-            _ => return Err(bad_data("not a ring-rpq database file")),
-        };
-        if !checksummed {
-            eprintln!(
-                "warning: {} predates checksums (no integrity footer); re-save to upgrade",
-                path.display()
-            );
-        }
-        let graph = Graph::read_from(&mut f)?;
-        let nodes = Dict::read_from(&mut f)?;
-        let preds = Dict::read_from(&mut f)?;
-        let ring = Ring::read_from(&mut f)?;
-        let (delta, epoch) = if updatable {
-            let delta = DeltaIndex::read_from(&mut f)?;
-            let epoch = succinct::io::read_u64(&mut f)?;
-            (delta, epoch)
-        } else {
-            (DeltaIndex::empty(graph.n_preds()), 0)
-        };
-        // Verify integrity before any structural check: a corrupt file
-        // should say "checksum mismatch", not a misleading shape error.
-        if checksummed {
-            ring::durable::verify_footer(&mut f, &path.display().to_string())?;
-        }
-        if (preds.len() as Id) < graph.n_preds() {
-            return Err(bad_data(
-                "predicate dictionary smaller than the graph alphabet",
-            ));
-        }
-        if ring.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("ring alphabet does not match the graph"));
-        }
-        if updatable && delta.n_preds_base() != graph.n_preds() {
-            return Err(bad_data("delta alphabet does not match the graph"));
-        }
-        if (nodes.len() as Id) < graph.n_nodes().max(delta.n_nodes()) {
-            return Err(bad_data("dictionary smaller than the node universe"));
-        }
-        Ok(Self {
-            store: TripleStore::from_built(graph, ring, delta, epoch),
-            dicts: RwLock::new(Dicts { nodes, preds }),
-            durable: Mutex::new(None),
-        })
+        ring::mapped::open_index_verified(path, OpenMode::Auto).map(Self::from_index)
     }
 
     /// The write-ahead-log sibling of a snapshot file: `<path>.wal`.
@@ -789,7 +722,13 @@ mod tests {
             back.query("?x", "p+", "?y").unwrap(),
             db.query("?x", "p+", "?y").unwrap()
         );
-        // Compacted state saves in the immutable format.
+        // The immutable facade folds the saved overlay in.
+        let folded = RpqDatabase::load(&path).unwrap();
+        assert_eq!(
+            folded.query("?x", "p+", "?y").unwrap(),
+            db.query("?x", "p+", "?y").unwrap()
+        );
+        // So does it over the compacted state, whose overlay is empty.
         db.compact();
         db.save(&path).unwrap();
         let plain = RpqDatabase::load(&path).unwrap();
@@ -825,8 +764,7 @@ mod tests {
 
         // Case 2: new nodes interned, committed, then deleted away — the
         // delta cancels to empty while the dicts keep the names; the
-        // saved file must stay loadable (updatable format, since the
-        // immutable one requires exact dictionary sizes).
+        // saved file must stay loadable.
         let path = dir.join("node.db");
         let db = UpdatableDatabase::from_text("a p b\n")
             .unwrap()

@@ -385,34 +385,27 @@ fn batch_is_deterministic_across_worker_counts() {
     assert!(one.contains("a\td"), "{one}");
 }
 
-/// `build --mmap` writes the RRPQM01 format; queries over the mapped
-/// index are byte-identical to the stream-format heap load, `stats`
-/// reports the residency, and updates fold back into a mapped file.
+/// `build` writes the RRPQM01 format; queries over the index are
+/// byte-identical under both forced residencies, `stats` reports the
+/// residency, and updates keep the format.
 #[test]
 fn mmap_build_query_roundtrip() {
     let dir = tmpdir("mmap");
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
-    let stream = dir.join("metro.db");
-    let mapped = dir.join("metro.rpqm");
-
-    for (flagged, index) in [(false, &stream), (true, &mapped)] {
-        let mut args = vec!["build", fixture.to_str().unwrap(), index.to_str().unwrap()];
-        if flagged {
-            args.push("--mmap");
-        }
-        let out = cli().args(&args).output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let magic = std::fs::read(&mapped).unwrap()[..8].to_vec();
+    let index = dir.join("metro.rpqm");
+    let out = cli()
+        .args(["build", fixture.to_str().unwrap(), index.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let magic = std::fs::read(&index).unwrap()[..8].to_vec();
     assert_eq!(&magic, b"RRPQM01\0");
 
-    // Identical rows from the stream-format load and from the mapped
-    // index under both forced residencies.
-    let ask = |index: &std::path::Path, extra: &[&str]| {
+    let ask = |extra: &[&str]| {
         let mut args = vec![
             "query",
             index.to_str().unwrap(),
@@ -429,30 +422,29 @@ fn mmap_build_query_roundtrip() {
         );
         String::from_utf8_lossy(&out.stdout).to_string()
     };
-    let reference = ask(&stream, &[]);
+    let reference = ask(&[]);
     assert!(
         reference.contains("<baquedano>\t<u_de_chile>"),
         "{reference}"
     );
-    assert_eq!(ask(&mapped, &[]), reference);
-    assert_eq!(ask(&mapped, &["--heap"]), reference);
+    assert_eq!(ask(&["--heap"]), reference);
     #[cfg(all(unix, target_pointer_width = "64"))]
-    assert_eq!(ask(&mapped, &["--mmap"]), reference);
+    assert_eq!(ask(&["--mmap"]), reference);
 
     // `stats` surfaces the residency of the open.
     let out = cli()
-        .args(["stats", mapped.to_str().unwrap(), "--heap"])
+        .args(["stats", index.to_str().unwrap(), "--heap"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("(heap, 0 mapped bytes)"), "{stdout}");
 
-    // Inserting into a mapped index keeps the file mapped.
+    // Inserting keeps the format, and queries see the committed edge.
     let delta = dir.join("delta.nt");
     std::fs::write(&delta, "<u_de_chile> <l5> <baquedano> .\n").unwrap();
     let out = cli()
-        .args(["insert", mapped.to_str().unwrap(), delta.to_str().unwrap()])
+        .args(["insert", index.to_str().unwrap(), delta.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -460,10 +452,80 @@ fn mmap_build_query_roundtrip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let magic = std::fs::read(&mapped).unwrap()[..8].to_vec();
+    let magic = std::fs::read(&index).unwrap()[..8].to_vec();
     assert_eq!(&magic, b"RRPQM01\0", "insert must preserve the format");
-    let rows = ask(&mapped, &[]);
+    let rows = ask(&[]);
     assert!(rows.contains("<baquedano>\t<u_de_chile>"), "{rows}");
+    let out = cli()
+        .args([
+            "query",
+            index.to_str().unwrap(),
+            "<u_de_chile>",
+            "<l5>",
+            "?y",
+        ])
+        .output()
+        .unwrap();
+    let rows = String::from_utf8_lossy(&out.stdout);
+    assert!(rows.contains("<u_de_chile>\t<baquedano>"), "{rows}");
+}
+
+/// Every CLI update is write-ahead logged and persists its epoch: two
+/// successive inserts report increasing epochs, leave `<index>.wal`
+/// beside the index, and `verify` reports the saved epoch.
+#[test]
+fn cli_updates_are_logged_and_advance_the_epoch() {
+    let dir = tmpdir("epochs");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
+    let index = dir.join("metro.rpqm");
+    let out = cli()
+        .args(["build", fixture.to_str().unwrap(), index.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let epoch_of = |stdout: &str| -> u64 {
+        let rest = &stdout[stdout.find("epoch ").expect(stdout) + 6..];
+        rest.split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let mut epochs = Vec::new();
+    for (i, edge) in ["<x1> <l5> <x2> .", "<x2> <bus> <x3> ."].iter().enumerate() {
+        let delta = dir.join(format!("delta{i}.nt"));
+        std::fs::write(&delta, format!("{edge}\n")).unwrap();
+        let out = cli()
+            .args(["insert", index.to_str().unwrap(), delta.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        epochs.push(epoch_of(&String::from_utf8_lossy(&out.stdout)));
+    }
+    assert!(epochs[0] < epochs[1], "epochs must increase: {epochs:?}");
+    let wal = PathBuf::from(format!("{}.wal", index.display()));
+    assert!(wal.exists(), "no write-ahead log beside the index");
+
+    let out = cli()
+        .args(["verify", index.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{report}");
+    assert!(
+        report.contains(&format!("\"epoch\":{}", epochs[1])),
+        "{report}"
+    );
+    let out = cli()
+        .args(["query", index.to_str().unwrap(), "<x1>", "<l5>/<bus>", "?y"])
+        .output()
+        .unwrap();
+    let rows = String::from_utf8_lossy(&out.stdout);
+    assert!(rows.contains("<x1>\t<x3>"), "{rows}");
 }
 
 /// A malformed N-Triples file is rejected with a positioned error, not

@@ -1,15 +1,17 @@
 //! Durability suite over the name-level façade: WAL'd commits survive
-//! a crash (reopen replays them), interrupted saves leave the previous
-//! snapshot bytes untouched, checksum-less v1 files still load,
-//! bit-flipped snapshots are detected, and a drain on a durable server
-//! checkpoints the source.
+//! a crash (reopen replays them), the epoch survives a save, interrupted
+//! saves leave the previous snapshot bytes untouched, a checkpoint never
+//! rewrites a file an engine still maps, retired formats fail with a
+//! typed error, bit-flipped snapshots are detected, and a drain on a
+//! durable server checkpoints the source.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use ring::durable::{arm, disarm, IoPolicy};
-use ring_rpq::UpdatableDatabase;
+use ring::durable::{arm, disarm, durability_error, DurabilityError, IoPolicy};
+use ring_rpq::rpq_core::{EngineOptions, RpqEngine};
+use ring_rpq::{RpqDatabase, UpdatableDatabase};
 
 /// Fault-injection state is process-global: serialize every test that
 /// arms a policy (and any test an armed policy could bleed into).
@@ -48,6 +50,21 @@ fn fresh_saved(dir: &Path, name: &str) -> PathBuf {
     path
 }
 
+/// A snapshot whose `DELTA` section is non-empty: one committed insert
+/// of a new node and one committed delete, at epoch 1.
+fn saved_with_delta(dir: &Path, name: &str) -> PathBuf {
+    let path = dir.join(name);
+    let db = UpdatableDatabase::from_text(BASE)
+        .unwrap()
+        .with_auto_compact_ratio(None);
+    db.insert("d", "p", "a");
+    db.delete("b", "p", "c");
+    db.commit();
+    assert!(!db.store().snapshot().delta.is_empty());
+    db.save(&path).unwrap();
+    path
+}
+
 /// Committed-but-never-saved updates come back on reopen: the WAL is
 /// the only place they exist, and replay restores them.
 #[test]
@@ -79,10 +96,9 @@ fn walled_commits_survive_a_crash() {
     assert_eq!(edges(&again), want2);
 }
 
-/// A checkpoint after compaction writes the *immutable* format, which
-/// carries no epoch field and reloads at 0 — the rotated WAL must base
-/// itself on that persisted epoch, not the in-memory one, or the next
-/// open rejects the log as belonging to a different index.
+/// A checkpoint after compaction persists the epoch with an empty
+/// overlay; the rotated WAL is based on that same epoch, so the next
+/// open accepts the log and resumes at the checkpointed epoch.
 #[test]
 fn checkpoint_after_compaction_stays_openable() {
     let _guard = lock_faults();
@@ -93,18 +109,80 @@ fn checkpoint_after_compaction_stays_openable() {
     db.insert("d", "p", "e");
     db.commit();
     db.compact();
-    db.checkpoint().unwrap();
+    let epoch = db.checkpoint().unwrap();
+    assert!(db.store().snapshot().delta.is_empty());
     let want = edges(&db);
     drop(db);
 
     let wal = ring::wal::Wal::inspect(&UpdatableDatabase::wal_path(&path)).unwrap();
     assert_eq!(
-        wal.base_epoch, 0,
-        "an immutable-format snapshot persists epoch 0; the WAL must match"
+        wal.base_epoch, epoch,
+        "the WAL must rotate at the saved epoch"
     );
     let back = UpdatableDatabase::open_durable(&path)
         .expect("snapshot + rotated WAL must agree on the base epoch");
+    assert_eq!(back.epoch(), epoch);
     assert_eq!(edges(&back), want);
+}
+
+/// `save` then `open_durable` returns the saved epoch, whether the
+/// overlay is empty (after compaction) or not.
+#[test]
+fn saved_epoch_survives_reopen() {
+    let _guard = lock_faults();
+    let dir = tmpdir("epoch");
+    let path = saved_with_delta(&dir, "live.rpq");
+    let back = UpdatableDatabase::open_durable(&path).unwrap();
+    assert_eq!(back.epoch(), 1);
+    assert!(!back.store().snapshot().delta.is_empty());
+    back.compact();
+    assert_eq!(back.epoch(), 2);
+    let want = edges(&back);
+    let compacted = dir.join("compacted.rpq");
+    back.save(&compacted).unwrap();
+    drop(back);
+    let again = UpdatableDatabase::open_durable(&compacted).unwrap();
+    assert_eq!(again.epoch(), 2);
+    assert!(again.store().snapshot().delta.is_empty());
+    assert_eq!(edges(&again), want);
+}
+
+/// The save renames a new file over the snapshot and never rewrites it
+/// in place, so engines over the previous, still-mapped snapshot keep
+/// answering from the old bytes after a checkpoint.
+#[test]
+fn checkpoint_keeps_old_mapped_snapshot_readable() {
+    let _guard = lock_faults();
+    let dir = tmpdir("remap");
+    let path = fresh_saved(&dir, "db.rpq");
+    let reader = RpqDatabase::open(&path).unwrap();
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    assert_eq!(reader.open_info().resident, succinct::ResidentMode::Mmap);
+    let want = reader.query("?x", "p+", "?y").unwrap();
+
+    let db = UpdatableDatabase::open_durable(&path).unwrap();
+    let old = db.store().snapshot();
+    let q = db.parse_query("?x", "p+", "?y").unwrap();
+    let opts = EngineOptions::default();
+    let old_pairs = RpqEngine::over(&*old)
+        .evaluate(&q, &opts)
+        .unwrap()
+        .sorted_pairs();
+    for round in 0..3 {
+        db.insert(&format!("n{round}"), "p", "a");
+        db.delete("a", "p", "b");
+        db.commit();
+        db.compact();
+        db.checkpoint().unwrap();
+    }
+    assert_ne!(
+        edges(&db),
+        edges(&UpdatableDatabase::from_text(BASE).unwrap())
+    );
+
+    assert_eq!(reader.query("?x", "p+", "?y").unwrap(), want);
+    let again = RpqEngine::over(&*old).evaluate(&q, &opts).unwrap();
+    assert_eq!(again.sorted_pairs(), old_pairs);
 }
 
 /// A checkpoint rotates the WAL: reopen after it replays nothing and
@@ -138,10 +216,12 @@ fn checkpoint_rotates_the_wal() {
 fn failed_save_preserves_old_bytes() {
     let _guard = lock_faults();
     let dir = tmpdir("oldbytes");
-    let path = fresh_saved(&dir, "db.rpq");
+    let path = saved_with_delta(&dir, "db.rpq");
     let before = std::fs::read(&path).unwrap();
 
-    let db = UpdatableDatabase::load(&path).unwrap();
+    let db = UpdatableDatabase::load(&path)
+        .unwrap()
+        .with_auto_compact_ratio(None);
     db.insert("zz", "p", "zz");
     db.commit();
     // Sweep every write-fault index the save actually reaches (writes
@@ -188,35 +268,34 @@ fn open_durable_cleans_orphaned_temp_files() {
     drop(db);
 }
 
-/// Checksum-less v1 stream files (same payload, `RRPQDU01`/`RRPQDB01`
-/// magic, no footer) still load — with a warning, not an error.
+/// Files in the retired stream formats fail to open — immutably or
+/// durably — with the typed `RetiredFormat` error that names the format
+/// and says to rebuild from the source graph.
 #[test]
-fn v1_files_without_checksums_still_load() {
+fn retired_formats_fail_with_a_rebuild_error() {
     let _guard = lock_faults();
-    let dir = tmpdir("v1compat");
-    let path = dir.join("db.rpq");
-    // A committed delta forces the *updatable* stream format.
-    let fresh = UpdatableDatabase::from_text(BASE).unwrap();
-    fresh.insert("d", "p", "e");
-    fresh.commit();
-    fresh.save(&path).unwrap();
-    let v2 = std::fs::read(&path).unwrap();
-    assert_eq!(&v2[..8], b"RRPQDU02");
-
-    // v1 image: v1 magic, same payload, no 16-byte checksum footer.
-    let mut v1 = v2.clone();
-    v1[..8].copy_from_slice(b"RRPQDU01");
-    v1.truncate(v2.len() - 16);
-    let v1_path = dir.join("old.rpq");
-    std::fs::write(&v1_path, &v1).unwrap();
-
-    let old = UpdatableDatabase::load(&v1_path).unwrap();
-    let new = UpdatableDatabase::load(&path).unwrap();
-    assert_eq!(edges(&old), edges(&new));
-
-    // Re-saving upgrades to the checksummed format.
-    old.save(&v1_path).unwrap();
-    assert_eq!(&std::fs::read(&v1_path).unwrap()[..8], b"RRPQDU02");
+    let dir = tmpdir("retired");
+    let image = std::fs::read(fresh_saved(&dir, "db.rpq")).unwrap();
+    for magic in ["RRPQDB01", "RRPQDB02", "RRPQDU01", "RRPQDU02"] {
+        let path = dir.join(format!("{magic}.db"));
+        let mut old = image.clone();
+        old[..8].copy_from_slice(magic.as_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let errors = [
+            RpqDatabase::open(&path).err().unwrap(),
+            UpdatableDatabase::open_durable(&path).err().unwrap(),
+        ];
+        for err in errors {
+            assert_eq!(
+                durability_error(&err),
+                Some(&DurabilityError::RetiredFormat {
+                    format: magic.to_string()
+                }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("rebuild"), "{err}");
+        }
+    }
 }
 
 /// Killing the WAL append under `commit` must not lose acknowledged
@@ -301,14 +380,15 @@ impl XorShift {
     }
 }
 
-/// Seeded single-bit flips over a full `RRPQDU02` image: every flip is
-/// either detected (typed load error) or harmless (loads with identical
-/// answers). Never a panic, never silently wrong data.
+/// Seeded single-bit flips over a full snapshot byte stream carrying a
+/// non-empty delta: every flip is either detected (typed load error) or
+/// harmless (loads with identical answers). Never a panic, never
+/// silently wrong data.
 #[test]
 fn stream_bit_flip_fuzz_never_yields_wrong_answers() {
     let _guard = lock_faults();
     let dir = tmpdir("streamflip");
-    let path = fresh_saved(&dir, "db.rpq");
+    let path = saved_with_delta(&dir, "db.rpq");
     let bytes = std::fs::read(&path).unwrap();
     let expect = edges(&UpdatableDatabase::load(&path).unwrap());
 
