@@ -63,8 +63,8 @@ fn run_route(
 fn oracle_graph(snap: &ring::store::StoreSnapshot, committed: &BTreeSet<Triple>) -> Graph {
     Graph::new(
         committed.iter().copied().collect(),
-        snap.graph.n_nodes().max(snap.delta.n_nodes()),
-        snap.graph.n_preds(),
+        snap.ring.n_nodes().max(snap.delta.n_nodes()),
+        snap.ring.n_preds_base(),
     )
 }
 
@@ -212,8 +212,8 @@ fn run_interleaving(seed: u64) {
     let clean = Ring::build(
         &Graph::new(
             committed.iter().copied().collect(),
-            snap.graph.n_nodes(),
-            snap.graph.n_preds(),
+            snap.ring.n_nodes(),
+            snap.ring.n_preds_base(),
         ),
         RingOptions::default(),
     );

@@ -17,12 +17,14 @@
 
 use std::io::{self, Read, Write};
 
-use succinct::io::{bad_data, read_len, read_u64, write_u64, Persist};
+use succinct::mapped::{err_data, MAX_LEN};
 
 use crate::{Id, Triple};
 
-/// Sanity cap on serialized delta sizes (matches the succinct codec).
-const MAX_LEN: u64 = 1 << 40;
+/// Magic tag opening the serialized delta.
+const MAGIC: [u8; 4] = *b"RDl1";
+/// Codec version written after the magic tag.
+const VERSION: u32 = 1;
 
 /// An immutable, committed delta: sorted adds plus tombstoned deletes in
 /// the three ring orders. See the module docs for the label-space
@@ -305,25 +307,36 @@ impl DeltaIndex {
     }
 }
 
+fn read_u64(r: &mut impl Read) -> io::Result<u64> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
 fn write_triples(w: &mut impl Write, ts: &[Triple]) -> io::Result<()> {
-    write_u64(w, ts.len() as u64)?;
+    w.write_all(&(ts.len() as u64).to_le_bytes())?;
     for t in ts {
-        write_u64(w, t.s)?;
-        write_u64(w, t.p)?;
-        write_u64(w, t.o)?;
+        for x in [t.s, t.p, t.o] {
+            w.write_all(&x.to_le_bytes())?;
+        }
     }
     Ok(())
 }
 
 fn read_triples(r: &mut impl Read, base: Id) -> io::Result<Vec<Triple>> {
-    let n = read_len(r, MAX_LEN)?;
+    let n = read_u64(r)?;
+    if n > MAX_LEN {
+        return Err(err_data(format!(
+            "length {n} exceeds sanity bound {MAX_LEN}"
+        )));
+    }
     // The length is untrusted input: cap the pre-allocation and let a
     // short read fail with an EOF error instead of an OOM abort.
-    let mut ts = Vec::with_capacity(n.min(4096));
+    let mut ts = Vec::with_capacity(n.min(4096) as usize);
     for _ in 0..n {
         let t = Triple::new(read_u64(r)?, read_u64(r)?, read_u64(r)?);
         if t.p >= base {
-            return Err(bad_data(format!(
+            return Err(err_data(format!(
                 "delta triple predicate {} outside the base alphabet {base}",
                 t.p
             )));
@@ -333,19 +346,38 @@ fn read_triples(r: &mut impl Read, base: Id) -> io::Result<Vec<Triple>> {
     Ok(ts)
 }
 
-impl Persist for DeltaIndex {
-    const MAGIC: [u8; 4] = *b"RDl1";
-
-    fn write_payload(&self, w: &mut impl Write) -> io::Result<()> {
+/// The little-endian codec of a snapshot's `DELTA` section: a 4-byte
+/// magic tag, a `u32` version, then the payload. Readers treat every
+/// length as untrusted, so corrupted input fails with a typed error,
+/// never a panic or an allocator abort.
+impl DeltaIndex {
+    /// Writes magic, version and payload.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
         // Only the canonical spo lists are serialized; the pos/osp orders
         // (and the node bound) are derived state rebuilt on load, so the
         // on-disk bytes are a pure function of the triple sets.
-        write_u64(w, self.n_preds_base)?;
+        w.write_all(&self.n_preds_base.to_le_bytes())?;
         write_triples(w, &self.adds_spo)?;
         write_triples(w, &self.dels_spo)
     }
 
-    fn read_payload(r: &mut impl Read) -> io::Result<Self> {
+    /// Reads and validates magic and version, then the payload.
+    pub fn read_from(r: &mut impl Read) -> io::Result<Self> {
+        // Little-endian: the magic tag is the low half of the first word.
+        let header = read_u64(r)?;
+        let (magic, version) = ((header as u32).to_le_bytes(), (header >> 32) as u32);
+        if magic != MAGIC {
+            return Err(err_data(format!(
+                "bad magic: expected {MAGIC:?}, found {magic:?}"
+            )));
+        }
+        if version != VERSION {
+            return Err(err_data(format!(
+                "unsupported format version {version} (expected {VERSION})"
+            )));
+        }
         let base = read_u64(r)?;
         let adds = read_triples(r, base)?;
         let dels = read_triples(r, base)?;
@@ -430,6 +462,33 @@ mod tests {
         assert_eq!(d.n_nodes(), 0);
         assert_eq!(d.add_count_label(7), 0);
         assert!(!d.add_contains(0, 0, 0));
+    }
+
+    /// Wrong magic, a truncated payload and an absurd declared length
+    /// all fail with an error; the length is rejected by the sanity
+    /// bound, not allocated.
+    #[test]
+    fn corrupted_inputs_fail_cleanly() {
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        assert_eq!(
+            DeltaIndex::read_from(&mut buf.as_slice()).unwrap(),
+            sample()
+        );
+
+        let mut bad = buf.clone();
+        bad[0] ^= 0xFF;
+        let err = DeltaIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+
+        let bad = &buf[..buf.len() - 3];
+        assert!(DeltaIndex::read_from(&mut &bad[..]).is_err());
+
+        // After magic, version and the base alphabet: the adds length.
+        let mut bad = buf.clone();
+        bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = DeltaIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("sanity bound"), "{err}");
     }
 
     #[test]

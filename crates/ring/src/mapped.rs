@@ -27,7 +27,7 @@
 //! [`open_index`] can point the succinct structures straight into an
 //! `mmap` of the file: cold open validates shapes and headers but never
 //! copies or rebuilds the payload. The `DELTA` section holds the
-//! [`DeltaIndex`] in its [`succinct::io::Persist`] encoding,
+//! [`DeltaIndex`] in its [`DeltaIndex::write_to`] encoding,
 //! and `META` the snapshot epoch, so an updatable database persists
 //! in this format too.
 //!
@@ -55,7 +55,6 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use succinct::io::Persist;
 use succinct::mapped::{
     err_data, host_supported, read_elias_fano, read_rank_select, read_wavelet_matrix,
     write_elias_fano, write_rank_select, write_wavelet_matrix, MapReader, SectionWriter, MAX_LEN,
@@ -425,8 +424,9 @@ pub fn open_index(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
 }
 
 /// [`open_index`] that verifies every section checksum whatever the
-/// residency, before any structural check — for callers that read the
-/// whole index anyway, such as the updatable store rebuilding its graph.
+/// residency, before any structural check — for the updatable store,
+/// whose checkpoints re-serialize the (possibly mapped) ring under fresh
+/// CRCs: corruption has to be caught before it is copied.
 pub fn open_index_verified(path: &Path, mode: OpenMode) -> io::Result<MappedIndex> {
     open_with_policy(path, mode, true)
 }

@@ -107,16 +107,17 @@ impl Ring {
         let n_nodes = g.n_nodes().max(1);
         let n_preds = g.n_preds().max(1);
 
-        // Three orders; Graph keeps (s,p,o) sorted already.
+        // Three orders; Graph keeps (s,p,o) sorted already. The other two
+        // sort their keys by value, whose last component is the column.
         let spo = g.triples();
-        let mut pos: Vec<&Triple> = spo.iter().collect();
-        pos.sort_unstable_by_key(|t| t.pos_key());
-        let mut osp: Vec<&Triple> = spo.iter().collect();
-        osp.sort_unstable_by_key(|t| t.osp_key());
-
+        let sorted_last = |key: fn(&Triple) -> (Id, Id, Id)| {
+            let mut keys: Vec<(Id, Id, Id)> = spo.iter().map(key).collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|k| k.2).collect::<Vec<u64>>()
+        };
         let l_o_syms: Vec<u64> = spo.iter().map(|t| t.o).collect();
-        let l_s_syms: Vec<u64> = pos.iter().map(|t| t.s).collect();
-        let l_p_syms: Vec<u64> = osp.iter().map(|t| t.p).collect();
+        let l_s_syms = sorted_last(Triple::pos_key);
+        let l_p_syms = sorted_last(Triple::osp_key);
 
         let mut subj_counts = vec![0u64; n_nodes as usize];
         let mut obj_counts = vec![0u64; n_nodes as usize];
@@ -384,9 +385,37 @@ impl Ring {
         Triple::new(s, p, o)
     }
 
-    /// Iterates all indexed triples (by scanning `L_p`; `O(n log σ)`).
+    /// Iterates all indexed triples in `L_p` order — position `i` yields
+    /// [`Self::triple_at_lp`]`(i)` — by decoding `L_p` and `L_s` whole.
+    /// The LF-step becomes a running count per predicate (`C_p[c]` plus
+    /// the `c`s seen so far) and the object advances at the `C_o` block
+    /// ends, so no position costs a rank: `O(n log σ)` sequential work.
     pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        (0..self.n).map(move |i| self.triple_at_lp(i))
+        let l_p = self.l_p.decode_all();
+        let l_s = self.l_s.decode_all();
+        let mut next: Vec<usize> = (0..self.n_preds).map(|c| self.c_p.get(c)).collect();
+        let (mut o, mut o_end) = (0, self.c_o.get(1));
+        l_p.into_iter().enumerate().map(move |(i, p)| {
+            while i >= o_end {
+                o += 1;
+                o_end = self.c_o.get(o + 1);
+            }
+            let j = &mut next[p as usize];
+            *j += 1;
+            Triple::new(l_s[*j - 1], p, o)
+        })
+    }
+
+    /// The base triples `p < n_preds_base` (the ring stores `G↔`, so this
+    /// drops the inverse half), decoded in `L_p` order.
+    pub fn base_triples(&self) -> Vec<Triple> {
+        let base = self.n_preds_base;
+        self.iter_triples().filter(|t| t.p < base).collect()
+    }
+
+    /// Number of base triples: `C_p[n_preds_base]`, in `O(1)`.
+    pub fn n_base_triples(&self) -> usize {
+        self.c_p.get(self.n_preds_base)
     }
 
     /// Whether `(s, p, o)` is indexed.

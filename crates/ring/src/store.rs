@@ -16,7 +16,7 @@
 //! has a fixed completed alphabet, such a commit performs an immediate
 //! rebuild (counted as both a commit and a compaction).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -34,12 +34,11 @@ pub enum UpdateOp {
 }
 
 /// A consistent, immutable view of the store at one epoch. Cheap to
-/// clone (four `Arc`s); queries hold one for their whole evaluation.
+/// clone (two `Arc`s); queries hold one for their whole evaluation.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
-    /// The base (uncompleted) graph the ring was built from.
-    pub graph: Arc<Graph>,
-    /// The succinct index over the completed base graph.
+    /// The succinct index over the completed base graph — the only copy
+    /// of the base triples.
     pub ring: Arc<Ring>,
     /// The committed overlay (possibly empty).
     pub delta: Arc<DeltaIndex>,
@@ -63,17 +62,20 @@ impl StoreSnapshot {
         self.delta.add_contains(s, p, o) || self.ring.contains(s, p, o)
     }
 
+    /// Whether `t` is a base triple: canonical and indexed. The label
+    /// guard matters — the ring indexes the completed alphabet, where an
+    /// id in `[n_base, 2·n_base)` names an inverse edge.
+    fn in_base(&self, t: &Triple) -> bool {
+        t.p < self.ring.n_preds_base() && self.ring.contains(t.s, t.p, t.o)
+    }
+
     /// The live canonical triples (base − deletes + adds), sorted.
-    /// `O(base + delta)`; compaction and tests use this, not queries.
+    /// `O(base + delta)` (the base is decoded from the ring); compaction
+    /// and tests use this, not queries.
     pub fn live_triples(&self) -> Vec<Triple> {
-        let dels: BTreeSet<&Triple> = self.delta.dels().iter().collect();
-        let mut live: Vec<Triple> = self
-            .graph
-            .triples()
-            .iter()
-            .filter(|t| !dels.contains(t))
-            .copied()
-            .collect();
+        let dels = self.delta.dels();
+        let mut live = self.ring.base_triples();
+        live.retain(|t| dels.binary_search(t).is_err());
         live.extend_from_slice(self.delta.adds());
         live.sort_unstable();
         live
@@ -124,22 +126,21 @@ impl TripleStore {
     /// auto-compaction).
     pub fn new(graph: Graph) -> Self {
         let ring = Ring::build(&graph, RingOptions::default());
-        Self::from_built(graph, ring, DeltaIndex::empty(0), 0)
+        Self::from_built(Arc::new(ring), DeltaIndex::empty(0), 0)
     }
 
-    /// Reassembles a store from persisted parts (the delta's base
-    /// alphabet is aligned to the graph's).
-    pub fn from_built(graph: Graph, ring: Ring, delta: DeltaIndex, epoch: u64) -> Self {
+    /// Reassembles a store from persisted parts (an empty delta's base
+    /// alphabet is aligned to the ring's).
+    pub fn from_built(ring: Arc<Ring>, delta: DeltaIndex, epoch: u64) -> Self {
         let delta = if delta.is_empty() {
-            DeltaIndex::empty(graph.n_preds())
+            DeltaIndex::empty(ring.n_preds_base())
         } else {
             delta
         };
         Self {
             inner: RwLock::new(Inner {
                 snap: Arc::new(StoreSnapshot {
-                    graph: Arc::new(graph),
-                    ring: Arc::new(ring),
+                    ring,
                     delta: Arc::new(delta),
                     epoch,
                 }),
@@ -221,15 +222,15 @@ impl TripleStore {
         }
         let pending = std::mem::take(&mut inner.pending);
         let snap = Arc::clone(&inner.snap);
-        let base = &*snap.graph;
+        let n_base = snap.ring.n_preds_base();
         let new_preds = pending.iter().any(|op| match op {
-            UpdateOp::Insert(t) => t.p >= base.n_preds(),
+            UpdateOp::Insert(t) => t.p >= n_base,
             UpdateOp::Delete(_) => false,
         });
         self.commits.fetch_add(1, Ordering::Relaxed);
         if new_preds {
             // The completed alphabet must grow: fold everything into a
-            // fresh graph and ring in one step.
+            // fresh ring in one step.
             self.rebuild_locked(&mut inner, &pending);
             self.compactions.fetch_add(1, Ordering::Relaxed);
             return inner.snap.epoch;
@@ -242,14 +243,14 @@ impl TripleStore {
                 UpdateOp::Insert(t) => {
                     // Re-inserting a tombstoned base triple revives it;
                     // inserting a base triple is a no-op.
-                    if base.contains(t.s, t.p, t.o) {
+                    if snap.in_base(&t) {
                         dels.remove(&t);
                     } else {
                         adds.insert(t);
                     }
                 }
                 UpdateOp::Delete(t) => {
-                    if base.contains(t.s, t.p, t.o) {
+                    if snap.in_base(&t) {
                         dels.insert(t);
                     } else {
                         adds.remove(&t);
@@ -260,17 +261,16 @@ impl TripleStore {
         let delta = DeltaIndex::new(
             adds.into_iter().collect(),
             dels.into_iter().collect(),
-            base.n_preds(),
+            n_base,
         );
         let overlay = delta.len();
         inner.snap = Arc::new(StoreSnapshot {
-            graph: Arc::clone(&snap.graph),
             ring: Arc::clone(&snap.ring),
             delta: Arc::new(delta),
             epoch: snap.epoch + 1,
         });
         if let Some(ratio) = self.auto_compact_ratio {
-            if overlay > 0 && overlay as f64 >= ratio * base.len().max(1) as f64 {
+            if overlay > 0 && overlay as f64 >= ratio * snap.ring.n_base_triples().max(1) as f64 {
                 self.compact_locked(&mut inner);
             }
         }
@@ -295,39 +295,35 @@ impl TripleStore {
     }
 
     /// Materializes live triples (plus `extra_ops`, applied in order) and
-    /// rebuilds graph + ring, preserving the id universes.
+    /// rebuilds the ring, preserving the id universes.
     fn rebuild_locked(&self, inner: &mut Inner, extra_ops: &[UpdateOp]) {
         let snap = &inner.snap;
-        let mut live: BTreeSet<Triple> = snap.live_triples().into_iter().collect();
-        for op in extra_ops {
-            match *op {
-                UpdateOp::Insert(t) => {
-                    live.insert(t);
-                }
-                UpdateOp::Delete(t) => {
-                    live.remove(&t);
-                }
-            }
-        }
-        let live: Vec<Triple> = live.into_iter().collect();
+        // The last op on a triple wins.
+        let last: BTreeMap<Triple, bool> = extra_ops
+            .iter()
+            .map(|op| match *op {
+                UpdateOp::Insert(t) => (t, true),
+                UpdateOp::Delete(t) => (t, false),
+            })
+            .collect();
+        let mut live = snap.live_triples();
+        live.retain(|t| last.get(t) != Some(&false));
+        live.extend(last.iter().filter(|&(_, &insert)| insert).map(|(&t, _)| t));
         let n_nodes = live
             .iter()
             .map(|t| t.s.max(t.o) + 1)
             .max()
             .unwrap_or(0)
-            .max(snap.graph.n_nodes())
-            .max(snap.delta.n_nodes());
+            .max(snap.n_nodes());
         let n_preds = live
             .iter()
             .map(|t| t.p + 1)
             .max()
             .unwrap_or(0)
-            .max(snap.graph.n_preds());
-        let graph = Graph::new(live, n_nodes, n_preds);
-        let ring = Ring::build(&graph, RingOptions::default());
+            .max(snap.ring.n_preds_base());
+        let ring = Ring::build(&Graph::new(live, n_nodes, n_preds), RingOptions::default());
         inner.snap = Arc::new(StoreSnapshot {
-            delta: Arc::new(DeltaIndex::empty(graph.n_preds())),
-            graph: Arc::new(graph),
+            delta: Arc::new(DeltaIndex::empty(n_preds)),
             ring: Arc::new(ring),
             epoch: snap.epoch + 1,
         });
@@ -399,6 +395,21 @@ mod tests {
         assert!(snap.delta.is_empty());
     }
 
+    /// An id in `[n_base, 2·n_base)` is an inverse label of the ring's
+    /// completed alphabet: deleting `(s, n_base + k, o)` for a base edge
+    /// `(o, k, s)` must not tombstone anything.
+    #[test]
+    fn deleting_an_inverse_label_id_is_a_no_op() {
+        let store = base_store();
+        let n_base = store.snapshot().ring.n_preds_base();
+        store.delete(t(1, n_base, 0)); // (0, 0, 1) read backwards
+        store.commit();
+        let snap = store.snapshot();
+        assert!(snap.delta.is_empty());
+        assert!(snap.contains(0, 0, 1));
+        assert!(snap.contains(1, n_base, 0));
+    }
+
     #[test]
     fn empty_commit_is_a_no_op() {
         let store = base_store();
@@ -430,7 +441,7 @@ mod tests {
         assert_eq!(epoch, 1);
         let snap = store.snapshot();
         assert!(snap.delta.is_empty());
-        assert_eq!(snap.graph.n_preds(), 8);
+        assert_eq!(snap.ring.n_preds_base(), 8);
         assert!(snap.contains(0, 7, 2));
         assert!(snap.contains(0, 0, 1)); // base data survives
         let s = store.stats();
@@ -447,7 +458,7 @@ mod tests {
         store.compact();
         let snap = store.snapshot();
         let clean = Ring::build(
-            &Graph::new(live, snap.graph.n_nodes(), snap.graph.n_preds()),
+            &Graph::new(live, snap.ring.n_nodes(), snap.ring.n_preds_base()),
             RingOptions::default(),
         );
         let dir = std::env::temp_dir().join(format!("rpq-store-bytes-{}", std::process::id()));
@@ -479,13 +490,13 @@ mod tests {
     #[test]
     fn deleting_every_edge_keeps_the_node_universe() {
         let store = base_store();
-        for tr in store.snapshot().graph.triples().to_vec() {
+        for tr in store.snapshot().live_triples() {
             store.delete(tr);
         }
         store.commit();
         store.compact();
         let snap = store.snapshot();
-        assert_eq!(snap.graph.len(), 0);
+        assert_eq!(snap.ring.n_base_triples(), 0);
         assert_eq!(snap.ring.n_nodes(), 3, "ids stay valid after deletion");
     }
 

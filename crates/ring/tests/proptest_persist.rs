@@ -11,7 +11,6 @@ use ring::delta::DeltaIndex;
 use ring::mapped::{open_index, write_index, MappedIndex, OpenMode};
 use ring::ring::{BoundaryKind, RingOptions};
 use ring::{Dict, Graph, Ring, Triple};
-use succinct::io::Persist;
 
 /// A fresh file path per call: proptest cases run on parallel threads.
 fn scratch_path() -> PathBuf {

@@ -1,9 +1,12 @@
 //! Property tests for the ring: construction round-trips, LF-cycle laws,
 //! backward-search consistency with a naive triple scan, on random graphs.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
+use ring::mapped::{open_index, write_index, OpenMode};
 use ring::ring::{BoundaryKind, RingOptions};
-use ring::{Graph, Id, Ring, Triple};
+use ring::{Dict, Graph, Id, Ring, Triple};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (
@@ -20,8 +23,79 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// The bulk decode yields, at position `i`, exactly the per-position
+/// LF walk's `triple_at_lp(i)`.
+fn decode_matches_walk(r: &Ring) -> Result<(), TestCaseError> {
+    let walked: Vec<Triple> = (0..r.n_triples()).map(|i| r.triple_at_lp(i)).collect();
+    prop_assert_eq!(r.iter_triples().collect::<Vec<_>>(), walked);
+    Ok(())
+}
+
+/// `ring` written as a snapshot and reopened, mapped where the platform
+/// allows.
+fn reopened(ring: &Ring) -> Ring {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!("rpq_proptest_ring_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}.rpqm", SEQ.fetch_add(1, Ordering::Relaxed)));
+    let dict = |n: Id| {
+        let mut d = Dict::new();
+        for i in 0..n {
+            d.intern(&i.to_string());
+        }
+        d
+    };
+    write_index(
+        &path,
+        ring,
+        &dict(ring.n_nodes()),
+        &dict(ring.n_preds_base()),
+    )
+    .unwrap();
+    let mode = if cfg!(all(unix, target_pointer_width = "64")) {
+        OpenMode::Mmap
+    } else {
+        OpenMode::Heap
+    };
+    let back = open_index(&path, mode).unwrap().ring;
+    std::fs::remove_file(&path).ok();
+    back
+}
+
+#[test]
+fn bulk_decode_of_the_empty_ring() {
+    for with_inverses in [true, false] {
+        let r = Ring::build(
+            &Graph::new(vec![], 0, 0),
+            RingOptions {
+                with_inverses,
+                node_boundaries: BoundaryKind::Sparse,
+            },
+        );
+        assert_eq!(r.iter_triples().count(), 0);
+        assert_eq!(reopened(&r).iter_triples().count(), 0);
+        assert!(r.base_triples().is_empty());
+        assert_eq!(r.n_base_triples(), 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn bulk_decode_matches_the_lf_walk(g in arb_graph()) {
+        for kind in [BoundaryKind::Dense, BoundaryKind::Sparse, BoundaryKind::EliasFano] {
+            for with_inverses in [true, false] {
+                let r = Ring::build(&g, RingOptions { with_inverses, node_boundaries: kind });
+                decode_matches_walk(&r)?;
+                decode_matches_walk(&reopened(&r))?;
+                let mut base = r.base_triples();
+                base.sort_unstable();
+                prop_assert_eq!(base.as_slice(), g.triples());
+                prop_assert_eq!(r.n_base_triples(), g.len());
+            }
+        }
+    }
 
     #[test]
     fn triples_roundtrip(g in arb_graph()) {

@@ -29,7 +29,6 @@ pub mod bitvec;
 pub mod checksum;
 pub mod elias_fano;
 pub mod int_vec;
-pub mod io;
 pub mod mapped;
 pub mod mmap;
 pub mod rank_select;

@@ -278,14 +278,22 @@ impl WaveletMatrix {
         let mut levels = Vec::with_capacity(width);
         let mut zeros = Vec::with_capacity(width);
         let mut cur: Vec<u64> = symbols.to_vec();
-        let mut next: Vec<u64> = Vec::with_capacity(cur.len());
+        let mut next: Vec<u64> = vec![0; cur.len()];
         for l in 0..width {
             let shift = width - 1 - l;
-            let bits = BitVec::from_bits(cur.iter().map(|&s| (s >> shift) & 1 == 1));
-            next.clear();
-            next.extend(cur.iter().copied().filter(|&s| (s >> shift) & 1 == 0));
-            let z = next.len();
-            next.extend(cur.iter().copied().filter(|&s| (s >> shift) & 1 == 1));
+            // One pass records the level's bits and stably partitions the
+            // symbols, zero bits first (the scatter target is picked
+            // without a branch).
+            let z = cur.iter().filter(|&&s| (s >> shift) & 1 == 0).count();
+            let mut bits = BitVec::with_capacity(cur.len());
+            let mut dst = [0, z];
+            for &s in &cur {
+                let bit = (s >> shift) & 1;
+                bits.push(bit == 1);
+                let d = &mut dst[bit as usize];
+                next[*d] = s;
+                *d += 1;
+            }
             zeros.push(z);
             levels.push(RankSelect::new(bits));
             std::mem::swap(&mut cur, &mut next);
@@ -378,6 +386,34 @@ impl WaveletMatrix {
             }
         }
         sym
+    }
+
+    /// The whole sequence, decoded level by level: one sequential pass
+    /// over each level's bits, stably partitioning the positions as the
+    /// construction did. *O*(n log σ) with no rank calls — the bulk form
+    /// of [`Self::access`].
+    pub fn decode_all(&self) -> Vec<u64> {
+        // `pos[k]`: the sequence position of the element at position `k`
+        // of the current level; `sym[k]`: its bits decoded so far.
+        let mut pos: Vec<usize> = (0..self.len).collect();
+        let mut sym = vec![0u64; self.len];
+        let (mut next_pos, mut next_sym) = (pos.clone(), sym.clone());
+        for (lvl, &zeros) in self.levels.iter().zip(&self.zeros) {
+            let mut dst = [0, zeros];
+            for k in 0..self.len {
+                let bit = (lvl.bit_word(k / 64) >> (k % 64)) & 1;
+                let d = &mut dst[bit as usize];
+                next_pos[*d] = pos[k];
+                next_sym[*d] = (sym[k] << 1) | bit;
+                *d += 1;
+            }
+            std::mem::swap(&mut pos, &mut next_pos);
+            std::mem::swap(&mut sym, &mut next_sym);
+        }
+        for (&p, &s) in pos.iter().zip(&sym) {
+            next_sym[p] = s;
+        }
+        next_sym
     }
 
     /// Number of occurrences of `sym` in `[0, i)`, in *O*(log σ).
@@ -815,6 +851,7 @@ mod tests {
         for (i, &s) in syms.iter().enumerate() {
             assert_eq!(wm.access(i), s, "position {i}");
         }
+        assert_eq!(wm.decode_all(), syms);
     }
 
     #[test]
@@ -931,9 +968,11 @@ mod tests {
         assert_eq!(wm.access(2), 0);
         assert_eq!(wm.rank(0, 3), 3);
         assert_eq!(wm.select(0, 2), Some(2));
+        assert_eq!(wm.decode_all(), vec![0, 0, 0]);
 
         let wm = WaveletMatrix::new(&[], 5);
         assert!(wm.is_empty());
+        assert!(wm.decode_all().is_empty());
         assert_eq!(wm.rank(4, 0), 0);
         assert_eq!(wm.count_distinct(0, 0), 0);
     }

@@ -770,8 +770,14 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    let g = db.graph();
+    // Counts come from the ring (the first shard's, for a sharded index:
+    // every shard spans the global universes); per-predicate edge counts
+    // are summed over the shards.
     let r = db.ring();
+    let mut cards: Vec<(u64, usize)> = (0..r.n_preds_base())
+        .map(|p| (p, db.pred_cardinality(p)))
+        .collect();
+    let base_edges: usize = cards.iter().map(|&(_, c)| c).sum();
     let (indexed, ring_bytes, rpq_only_bytes) = if shard_rows.is_empty() {
         (r.n_triples(), r.size_bytes(), r.size_bytes_rpq_only())
     } else {
@@ -781,40 +787,22 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             0,
         )
     };
-    println!("edges (base):        {}", g.len());
+    println!("edges (base):        {base_edges}");
     println!("edges (indexed G^):  {indexed}");
-    println!("nodes:               {}", g.n_nodes());
-    println!("predicates (base):   {}", g.n_preds());
+    println!("nodes:               {}", r.n_nodes());
+    println!("predicates (base):   {}", r.n_preds_base());
     println!("ring bytes:          {ring_bytes}");
     println!(
         "ring bytes/edge:     {:.2}",
-        ring_bytes as f64 / g.len().max(1) as f64
+        ring_bytes as f64 / base_edges.max(1) as f64
     );
     if rpq_only_bytes > 0 {
         println!(
             "rpq-only bytes/edge: {:.2}",
-            rpq_only_bytes as f64 / g.len().max(1) as f64
+            rpq_only_bytes as f64 / base_edges.max(1) as f64
         );
     }
     // Top predicates by cardinality — the selectivity the planner uses.
-    // For a sharded index the base graph (the shards' exact union) is
-    // counted directly; per-shard `pred_cardinality` would need summing
-    // anyway.
-    let mut cards: Vec<(u64, usize)> = if shard_rows.is_empty() {
-        (0..g.n_preds())
-            .map(|p| (p, r.pred_cardinality(p)))
-            .collect()
-    } else {
-        let mut counts = vec![0usize; g.n_preds() as usize];
-        for t in g.triples() {
-            counts[t.p as usize] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(p, c)| (p as u64, c))
-            .collect()
-    };
     cards.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     println!("top predicates:");
     for &(p, c) in cards.iter().take(5) {

@@ -201,44 +201,22 @@ impl RpqDatabase {
         UpdatableDatabase::from_database(self)
     }
 
-    pub(crate) fn into_raw_parts(mut self) -> (Graph, Arc<Ring>, Dict, Dict) {
-        self.graph();
-        let graph = self.graph.into_inner().expect("graph just materialized");
-        // Downstream mutators (the updatable store) intern names; hand
-        // them the heap dictionary form up front. A sharded database
-        // carries only per-shard rings, so the updatable store gets a
-        // freshly built monolithic one.
+    /// The ring and dictionaries. A sharded database carries only
+    /// per-shard rings, so it hands out a freshly built monolithic one.
+    pub(crate) fn into_raw_parts(self) -> (Arc<Ring>, Dict, Dict) {
         let ring = if self.shards.is_some() {
-            Arc::new(Ring::build(&graph, RingOptions::default()))
+            Arc::new(Ring::build(self.graph(), RingOptions::default()))
         } else {
             self.ring
         };
-        self.nodes.make_owned();
-        self.preds.make_owned();
-        (graph, ring, self.nodes, self.preds)
+        (ring, self.nodes, self.preds)
     }
 
-    /// Wraps an opened ring and its dictionaries; the graph is
-    /// reconstructed from the ring on first use.
-    pub(crate) fn from_opened(ring: Ring, nodes: Dict, preds: Dict) -> Self {
+    /// Wraps a ring (opened or compacted) and its dictionaries; the
+    /// graph is reconstructed from the ring on first use.
+    pub(crate) fn from_opened(ring: Arc<Ring>, nodes: Dict, preds: Dict) -> Self {
         Self {
             graph: OnceLock::new(),
-            ring: Arc::new(ring),
-            shards: None,
-            nodes,
-            preds,
-            open_info: OpenInfo::default(),
-        }
-    }
-
-    pub(crate) fn from_built_parts(
-        graph: Graph,
-        ring: Arc<Ring>,
-        nodes: Dict,
-        preds: Dict,
-    ) -> Self {
-        Self {
-            graph: OnceLock::from(graph),
             ring,
             shards: None,
             nodes,
@@ -258,19 +236,27 @@ impl RpqDatabase {
     /// triples `p < n_preds_base` only).
     pub fn graph(&self) -> &Graph {
         self.graph.get_or_init(|| {
-            let base = self.ring.n_preds_base();
             let triples: Vec<Triple> = match &self.shards {
                 // Shards partition the base triples, so their union is
                 // exact (no dedup needed).
                 Some(src) => src
                     .parts()
                     .iter()
-                    .flat_map(|p| p.ring.iter_triples().filter(|t| t.p < base))
+                    .flat_map(|p| p.ring.base_triples())
                     .collect(),
-                None => self.ring.iter_triples().filter(|t| t.p < base).collect(),
+                None => self.ring.base_triples(),
             };
-            Graph::new(triples, self.ring.n_nodes(), base)
+            Graph::new(triples, self.ring.n_nodes(), self.ring.n_preds_base())
         })
+    }
+
+    /// Number of edges labeled `p` ([`Ring::pred_cardinality`]), summed
+    /// over the shards of a sharded database.
+    pub fn pred_cardinality(&self, p: Id) -> usize {
+        match &self.shards {
+            Some(src) => src.parts().iter().map(|s| s.ring.pred_cardinality(p)).sum(),
+            None => self.ring.pred_cardinality(p),
+        }
     }
 
     /// How this database was opened (wall time, heap vs mmap residency,
@@ -443,7 +429,7 @@ impl RpqDatabase {
         let idx = ring::mapped::open_index(path, mode)?;
         let mut db = if idx.delta.is_empty() {
             let (resident, mapped_bytes) = (idx.resident, idx.mapped_bytes);
-            let mut db = Self::from_opened(idx.ring, idx.nodes, idx.preds);
+            let mut db = Self::from_opened(Arc::new(idx.ring), idx.nodes, idx.preds);
             db.open_info.resident = resident;
             db.open_info.mapped_bytes = mapped_bytes;
             db

@@ -67,33 +67,28 @@ pub struct UpdatableDatabase {
 
 impl UpdatableDatabase {
     /// Wraps an immutable database (consumes it; the ring is reused, not
-    /// rebuilt).
+    /// rebuilt — a sharded database's shards are merged into one ring).
     pub fn from_database(db: RpqDatabase) -> Self {
-        let (graph, ring, nodes, preds) = db.into_raw_parts();
-        let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
-        Self {
-            store: TripleStore::from_built(graph, ring, DeltaIndex::empty(0), 0),
-            dicts: RwLock::new(Dicts { nodes, preds }),
-            durable: Mutex::new(None),
-        }
+        Self::from_parts(db.into_raw_parts(), DeltaIndex::empty(0), 0)
     }
 
-    /// Wraps an opened snapshot: the store's graph is reconstructed from
-    /// the ring, and the persisted overlay and epoch carry over.
+    /// Wraps an opened snapshot as it lies: the ring is the store's base,
+    /// and the persisted overlay and epoch carry over.
     pub(crate) fn from_index(idx: MappedIndex) -> Self {
-        let MappedIndex {
-            ring,
-            nodes,
-            preds,
-            delta,
-            epoch,
-            ..
-        } = idx;
-        let (graph, ring, nodes, preds) =
-            RpqDatabase::from_opened(ring, nodes, preds).into_raw_parts();
-        let ring = Arc::try_unwrap(ring).unwrap_or_else(|a| (*a).clone());
+        let parts = (Arc::new(idx.ring), idx.nodes, idx.preds);
+        Self::from_parts(parts, idx.delta, idx.epoch)
+    }
+
+    fn from_parts(
+        (ring, mut nodes, mut preds): (Arc<Ring>, Dict, Dict),
+        delta: DeltaIndex,
+        epoch: u64,
+    ) -> Self {
+        // Inserts intern names: hand them the heap dictionary form.
+        nodes.make_owned();
+        preds.make_owned();
         Self {
-            store: TripleStore::from_built(graph, ring, delta, epoch),
+            store: TripleStore::from_built(ring, delta, epoch),
             dicts: RwLock::new(Dicts { nodes, preds }),
             durable: Mutex::new(None),
         }
@@ -295,8 +290,7 @@ impl UpdatableDatabase {
         self.store.compact();
         let snap = self.store.snapshot();
         let dicts = self.dicts.into_inner().unwrap();
-        let graph = (*snap.graph).clone();
-        RpqDatabase::from_built_parts(graph, Arc::clone(&snap.ring), dicts.nodes, dicts.preds)
+        RpqDatabase::from_opened(Arc::clone(&snap.ring), dicts.nodes, dicts.preds)
     }
 
     /// Parses endpoints and expression against the given snapshot.
@@ -474,8 +468,9 @@ impl UpdatableDatabase {
 
     /// Loads a database persisted by [`Self::save`] or
     /// [`RpqDatabase::save`] (an immutable snapshot loads with an empty
-    /// overlay at epoch 0). Every section checksum is verified, since
-    /// rebuilding the store's graph reads the whole ring anyway.
+    /// overlay at epoch 0). Every section checksum is verified: a
+    /// checkpoint re-serializes the (possibly mapped) ring under fresh
+    /// CRCs, so corruption has to be caught before it is copied.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         ring::mapped::open_index_verified(path, OpenMode::Auto).map(Self::from_index)
     }
@@ -761,6 +756,15 @@ mod tests {
             back.query("?x", "p", "?y").unwrap(),
             vec![("a".into(), "b".into())]
         );
+        // `newpred` got the id the ring uses for `^p`: deleting
+        // (b, newpred, a) must not tombstone the base edge (a, p, b).
+        assert!(back.delete("b", "newpred", "a"));
+        back.commit();
+        assert_eq!(
+            back.query("?x", "p", "?y").unwrap(),
+            vec![("a".into(), "b".into())]
+        );
+        assert!(back.store().snapshot().delta.is_empty());
 
         // Case 2: new nodes interned, committed, then deleted away — the
         // delta cancels to empty while the dicts keep the names; the

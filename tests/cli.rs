@@ -547,3 +547,88 @@ fn malformed_ntriples_is_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
 }
+
+/// `stats` prints the same counts for a plain and a sharded build of
+/// the metro fixture: base edges, indexed edges, nodes, base predicates
+/// and the top predicates by cardinality (summed over the shards).
+#[test]
+fn stats_counts_agree_for_plain_and_sharded_builds() {
+    let dir = tmpdir("stats_shards");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
+    let expected = [
+        "edges (base):        13",
+        "edges (indexed G^):  26",
+        "nodes:               5",
+        "predicates (base):   4",
+        "top predicates:",
+        "  <l1>                     4 edges",
+        "  <l5>                     4 edges",
+        "  <bus>                    3 edges",
+        "  <l2>                     2 edges",
+    ];
+    for (name, extra) in [("plain.rpqm", &[][..]), ("sharded", &["--shards", "3"][..])] {
+        let index = dir.join(name);
+        let out = cli()
+            .args(["build", fixture.to_str().unwrap(), index.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let out = cli()
+            .args(["stats", index.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // Everything but the open, shard-layout and byte-size lines.
+        let counts: Vec<&str> = stdout
+            .lines()
+            .filter(|l| {
+                !["open:", "shards:", "  shard", "ring bytes", "rpq-only"]
+                    .iter()
+                    .any(|skip| l.starts_with(skip))
+            })
+            .collect();
+        assert_eq!(counts, expected, "{name}:\n{stdout}");
+    }
+}
+
+/// `compact` folds a CLI insert into the ring: the checkpointed snapshot
+/// verifies at the next epoch and still answers over the new edge.
+#[test]
+fn compact_folds_the_delta_and_checkpoints_the_next_epoch() {
+    let dir = tmpdir("compact");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/metro.nt");
+    let index = dir.join("metro.rpqm");
+    let idx = index.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let out = cli().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    run(&["build", fixture.to_str().unwrap(), idx]);
+    let delta = dir.join("delta.txt");
+    std::fs::write(&delta, "<x1> <l5> <x2>\n").unwrap();
+    let inserted = run(&["insert", idx, delta.to_str().unwrap()]);
+    assert!(inserted.contains("at epoch 1 (delta: +1 -0"), "{inserted}");
+    let compacted = run(&["compact", idx]);
+    assert!(
+        compacted.contains("compacted 1 adds and 0 deletes") && compacted.contains("(epoch 2)"),
+        "{compacted}"
+    );
+    let report = run(&["verify", idx]);
+    assert!(
+        report.contains("\"status\":\"ok\"") && report.contains("\"epoch\":2,"),
+        "{report}"
+    );
+    let rows = run(&["query", idx, "<x1>", "<l5>", "?y"]);
+    assert!(rows.contains("<x1>\t<x2>"), "{rows}");
+}
