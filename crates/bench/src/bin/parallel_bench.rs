@@ -112,12 +112,18 @@ fn main() {
     let mut engine = RpqEngine::new(&ring);
     let qs = queries();
 
-    // Sequential reference streams, captured once.
+    // Sequential reference streams (one thread, every level on the
+    // direct loop), captured once.
+    let sequential = EngineOptions {
+        intra_query_threads: 1,
+        parallel_min_frontier: usize::MAX,
+        ..EngineOptions::default()
+    };
     let reference: Vec<Vec<(u64, u64)>> = qs
         .iter()
         .map(|q| {
             engine
-                .evaluate(q, &EngineOptions::default())
+                .evaluate(q, &sequential)
                 .expect("sequential reference run")
                 .pairs
         })
@@ -126,8 +132,9 @@ fn main() {
     let mut runs: Vec<Run> = Vec::new();
     for threads in [1usize, 2, 4] {
         // One rank of the layered graph is a whole BFS level; lower the
-        // engagement threshold below the rank width so every level fans
-        // out (the default 2048 is tuned for much larger graphs).
+        // engagement threshold below the rank width so every level takes
+        // the chunked path (the quick graph's ranks are 128 wide, below
+        // the default threshold).
         let opts = EngineOptions {
             intra_query_threads: threads,
             parallel_min_frontier: 64,

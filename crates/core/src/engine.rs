@@ -4,11 +4,12 @@ use automata::glushkov::INITIAL;
 use automata::{BitParallel, Label};
 use ring::delta::DeltaIndex;
 use ring::{Id, Ring};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use succinct::util::{BitSet, EpochArray};
-use succinct::wavelet_matrix::{MultiRangeGuide, MultiTraversal, RangeGuide};
+use succinct::wavelet_matrix::{
+    MultiRangeGuide, MultiTraversal, RangeGuide, RangeSweep, SweepGuide,
+};
 use succinct::WaveletMatrix;
 
 use crate::pairbuf::PairBuffer;
@@ -78,10 +79,10 @@ pub struct RpqEngine<'r> {
     /// Per-node visited masks of the merged traversal (empty until the
     /// first delta-backed evaluation; `O(1)` reset afterwards).
     merged_masks: EpochArray,
-    /// Threads the *current* evaluation may fan frontier work across —
-    /// the planner's [`Plan::intra_query_threads`] decision, stashed
-    /// here by `evaluate_prepared` so the traversal internals need no
-    /// extra parameter. 1 = the sequential path.
+    /// The most threads the *current* evaluation may fan frontier work
+    /// across — the [`Plan::intra_query_threads`] cap, stashed here by
+    /// `evaluate_prepared` so the traversal internals need no extra
+    /// parameter. 1 = the calling thread only.
     ///
     /// [`Plan::intra_query_threads`]: crate::planner::Plan::intra_query_threads
     active_threads: usize,
@@ -96,20 +97,16 @@ pub struct RpqEngine<'r> {
 /// Scratch buffers for the frontier-batched backward traversal.
 #[derive(Default)]
 struct TraverseScratch {
-    /// Batched `L_p` traversal state (layer-2 primitive).
-    mt: MultiTraversal,
+    /// Part-one scratch of the direct loop.
+    part_one: PartOne,
     /// The current BFS level: `(range of L_p, state mask)` per item.
     frontier: Vec<(usize, usize, u64)>,
     /// The next BFS level, accumulated while the current one is processed.
     next_frontier: Vec<(usize, usize, u64)>,
-    /// Chunk ranges handed to the batched traversal.
-    ranges: Vec<(usize, usize)>,
-    /// Chunk state masks, parallel to `ranges`.
-    ds: Vec<u64>,
-    /// Per-item part-one output: `(pred, rank_b, rank_e, D & B[p])`.
-    pred_hits: Vec<Vec<(Label, usize, usize, u64)>>,
-    /// Part-two output: `(subject, fresh states)`.
+    /// Direct-loop part-two output: `(subject, fresh states)`.
     subjects: Vec<(Id, u64)>,
+    /// Two-phase levels' chunk plans.
+    chunks: Vec<ChunkPlan>,
 }
 
 /// Where a backward traversal starts.
@@ -589,33 +586,45 @@ impl<'r> RpqEngine<'r> {
     }
 
     /// The backward product-graph traversal (§4, parts one to three),
-    /// frontier-batched: each BFS level's part-one (`L_p`) traversals run
-    /// as **one** batched wavelet sweep over the whole frontier
-    /// ([`WaveletMatrix::guided_traverse_multi`]), sharing node-start
-    /// ranks, `B[v]` mask lookups and cache lines across the level's
-    /// ranges. Part one only reads the static `B` masks, so batching it
-    /// is semantically transparent; items are then processed in exact
-    /// FIFO order (a FIFO queue visits whole levels consecutively), so
-    /// visit order, traces and the product-graph counters match the
-    /// item-at-a-time traversal bit for bit. (`wavelet_nodes` is the
-    /// exception: batched part-one consults each `L_p` node once per
-    /// frontier chunk instead of once per range, so that counter now
-    /// measures the batched workload.)
+    /// level-synchronous: a FIFO queue visits whole BFS levels
+    /// consecutively, so expanding level by level in frontier order
+    /// keeps visit order, traces and the product-graph counters exactly
+    /// those of the item-at-a-time traversal.
     ///
-    /// When the planner granted `intra_query_threads > 1` and a level's
-    /// frontier reaches `parallel_min_frontier`, that level expands via
-    /// the speculative two-phase scheme ([`expand_level_speculative`]):
-    /// answers, flags, traces and the budget stop point stay bit-for-bit
-    /// identical; `wavelet_nodes`/`rank_ops` then measure the
-    /// *speculative* workload (frozen-mask pruning admits more nodes,
-    /// and budget-aborted levels were already fully expanded) — the same
-    /// "counters measure the executed strategy" convention the batching
-    /// above established.
-    #[allow(clippy::too_many_arguments)]
+    /// How a level expands depends on its frontier size alone:
+    ///
+    /// * **Direct loop** (fewer than `parallel_min_frontier` items): part
+    ///   one (`L_p`) runs as one batched wavelet sweep per chunk of the
+    ///   frontier ([`WaveletMatrix::guided_traverse_multi`]), sharing
+    ///   node-start ranks and `B[v]` lookups across the chunk's ranges;
+    ///   part two (`L_s`) is one guided descent per `(item, predicate)`
+    ///   against the live `D` masks.
+    /// * **Two-phase** (at least `parallel_min_frontier` items): phase A
+    ///   ([`expand_level_speculative`]) expands every chunk against a
+    ///   frozen snapshot of the `D` masks — part one as above, part two
+    ///   as **one** level-synchronous [`WaveletMatrix::sweep_ranges`]
+    ///   over all the chunk's surviving `(item, predicate)` ranges —
+    ///   fanning chunks across the calling thread plus whatever helpers
+    ///   the pool grants, up to `intra_query_threads − 1`. Phase B
+    ///   replays the chunks in frontier order against the live masks.
+    ///   The masks only grow, so the frozen filter admits an ordered
+    ///   superset of what the direct loop emits, and the replay's
+    ///   `fresh == 0` skip is exactly the direct loop's leaf filter:
+    ///   answers, flags, traces and the budget stop point are
+    ///   bit-for-bit those of the direct loop, at any thread count and
+    ///   whatever the grant.
+    ///
+    /// `wavelet_nodes`, `rank_ops` and `rank_ops_saved` measure the
+    /// strategy that ran: batched part one consults each `L_p` node once
+    /// per chunk, and on two-phase levels they also count the part-two
+    /// sweep (frozen-mask pruning admits more nodes, and a
+    /// budget-aborted level was already fully expanded).
+    ///
     /// Calls `report(r)` for every node where the initial NFA state newly
     /// activates; a `false` return aborts the traversal. `budget` caps
     /// the product-graph nodes visited by *this* run. Returns why the
     /// traversal stopped.
+    #[allow(clippy::too_many_arguments)]
     fn backward_traverse(
         &mut self,
         bp: &BitParallel,
@@ -681,13 +690,11 @@ impl<'r> RpqEngine<'r> {
         let neg = bp.negated_positions();
 
         let TraverseScratch {
-            mt,
+            part_one,
             frontier,
             next_frontier,
-            ranges,
-            ds,
-            pred_hits,
             subjects,
+            chunks,
         } = scratch;
         frontier.clear();
         next_frontier.clear();
@@ -723,20 +730,13 @@ impl<'r> RpqEngine<'r> {
             if let Some(p) = prof_levels.as_mut() {
                 p.enter(frontier.len() as u64, stats.rank_ops, stats.parallel_chunks);
             }
-            if threads > 1 && frontier.len() >= min_frontier {
-                // Two-phase parallel expansion. Phase A (concurrent,
-                // read-only): every chunk speculatively runs part one and
-                // a *frozen-mask* part two, producing an ordered
-                // candidate plan. Phase B (sequential, below): replay the
-                // plans in chunk/item/pred/candidate order against the
-                // live masks — recomputing `fresh` exactly where the
-                // sequential loop would — so pairs, flags, traces and the
-                // budget stop point are bit-for-bit identical to the
-                // sequential path. (Frozen pruning admits a superset of
-                // candidates in the same traversal order; the replay's
-                // `fresh == 0` skip is precisely the sequential leaf
-                // filter, see `FrozenSubjGuide`.)
-                let plans = expand_level_speculative(
+            if frontier.len() >= min_frontier {
+                // Two-phase expansion: phase A (read-only, fanned out)
+                // plans every chunk; phase B (below) replays the plans
+                // in chunk/item/pred/candidate order against the live
+                // masks, recomputing `fresh` exactly where the direct
+                // loop would.
+                let n_chunks = expand_level_speculative(
                     ring,
                     bp,
                     neg,
@@ -746,28 +746,29 @@ impl<'r> RpqEngine<'r> {
                     frontier,
                     deadline,
                     threads,
+                    chunks,
                 );
                 stats.parallel_levels += 1;
-                for plan in &plans {
+                for plan in &chunks[..n_chunks] {
                     stats.parallel_chunks += 1;
-                    stats.rank_ops += plan.rank_ops;
-                    stats.rank_ops_saved += plan.rank_ops_saved;
-                    stats.wavelet_nodes += plan.wavelet_nodes;
+                    stats.add(&plan.stats);
                     if plan.deadline_hit {
                         // A worker saw the (monotone) deadline pass, so
-                        // the sequential run would also time out by now.
+                        // the direct loop would also time out by now.
                         return Stop::TimedOut;
                     }
-                    for item in &plan.items {
+                    let mut range = 0;
+                    for &(n_hits, n_ranges) in &plan.items {
                         stats.bfs_steps += 1;
                         if let Some(dl) = deadline {
                             if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
                                 return Stop::TimedOut;
                             }
                         }
-                        stats.product_edges += item.n_hits;
-                        for &(d_new, ref cands) in &item.preds {
-                            for &s in cands {
+                        stats.product_edges += n_hits;
+                        for r in range..range + n_ranges {
+                            let d_new = plan.d_news[r];
+                            for &s in plan.sweep.symbols(r) {
                                 let idx = WaveletMatrix::node_index(width_s, s);
                                 let old = ls_masks.get(idx);
                                 let fresh = d_new & !old;
@@ -799,59 +800,18 @@ impl<'r> RpqEngine<'r> {
                                 }
                             }
                         }
+                        range += n_ranges;
                     }
                 }
                 std::mem::swap(frontier, next_frontier);
                 next_frontier.clear();
                 continue;
             }
-            let mut chunk_start = 0;
-            while chunk_start < frontier.len() {
-                let chunk =
-                    &frontier[chunk_start..(chunk_start + FRONTIER_CHUNK).min(frontier.len())];
-                chunk_start += chunk.len();
-
-                // Part one, batched over the chunk: distinct relevant
-                // predicates reaching each range, found in one sweep.
-                ranges.clear();
-                ds.clear();
-                for &(b, e, d) in chunk {
-                    ranges.push((b, e));
-                    ds.push(d);
-                }
-                if pred_hits.len() < chunk.len() {
-                    pred_hits.resize_with(chunk.len(), Vec::new);
-                }
-                for hits in pred_hits[..chunk.len()].iter_mut() {
-                    hits.clear();
-                }
-                let union_d = ds.iter().fold(0u64, |a, &d| a | d);
-                {
-                    let mut guide = PredGuideMulti {
-                        ds,
-                        union_d,
-                        masks: lp_masks,
-                        neg,
-                        width: width_p,
-                        out: pred_hits,
-                        nodes_entered: &mut stats.wavelet_nodes,
-                        node_mask: 0,
-                        pending: 0,
-                    };
-                    mt.run(lp, ranges, &mut guide);
-                }
-                stats.rank_ops += mt.ranks;
-                stats.rank_ops_saved += mt.ranks_saved;
-                // The batched sweep emits leaves in unspecified order;
-                // ascending-label order restores the exact predicate
-                // processing sequence (and traces) of the per-range
-                // traversal.
-                for hits in pred_hits[..chunk.len()].iter_mut() {
-                    hits.sort_unstable_by_key(|&(p, ..)| p);
-                }
+            for chunk in frontier.chunks(FRONTIER_CHUNK) {
+                let pred_hits = part_one.run(lp, lp_masks, neg, chunk, stats);
 
                 // Items in FIFO order, each with its precomputed preds.
-                for (i, _) in chunk.iter().enumerate() {
+                for hits in pred_hits {
                     stats.bfs_steps += 1;
                     if let Some(dl) = deadline {
                         if stats.bfs_steps.is_multiple_of(64) && Instant::now() >= dl {
@@ -859,7 +819,7 @@ impl<'r> RpqEngine<'r> {
                         }
                     }
 
-                    for &(p, rb, re, d_and_b) in pred_hits[i].iter() {
+                    for &(p, rb, re, d_and_b) in hits {
                         stats.product_edges += 1;
                         // Eq. 2: the same new state set for every subject
                         // (Fact 1).
@@ -929,6 +889,70 @@ fn node_exists(ring: &Ring, v: Id) -> bool {
     e > b
 }
 
+/// Part one of the traversal, batched over a frontier chunk, with its
+/// reusable scratch: one [`MultiTraversal`] sweep of `L_p` finds, for
+/// every item, the distinct predicates reaching its range whose `B[p]`
+/// meets the item's state mask (§4.1).
+#[derive(Default)]
+struct PartOne {
+    /// Batched `L_p` traversal state (layer-2 primitive).
+    mt: MultiTraversal,
+    /// The chunk's `L_p` ranges.
+    ranges: Vec<(usize, usize)>,
+    /// The chunk's state masks, parallel to `ranges`.
+    ds: Vec<u64>,
+    /// Per-item output: `(pred, rank_b, rank_e, D & B[p])`.
+    pred_hits: Vec<Vec<(Label, usize, usize, u64)>>,
+}
+
+impl PartOne {
+    /// Runs part one over `chunk`, returning each item's hits in
+    /// ascending-label order — the predicate processing sequence (and
+    /// so the trace) of a per-range traversal — and adding the wavelet
+    /// nodes and rank counts to `stats`.
+    fn run(
+        &mut self,
+        lp: &WaveletMatrix,
+        lp_masks: &EpochArray,
+        neg: &[(u64, Vec<Label>)],
+        chunk: &[(usize, usize, u64)],
+        stats: &mut TraversalStats,
+    ) -> &[Vec<(Label, usize, usize, u64)>] {
+        self.ranges.clear();
+        self.ds.clear();
+        for &(b, e, d) in chunk {
+            self.ranges.push((b, e));
+            self.ds.push(d);
+        }
+        if self.pred_hits.len() < chunk.len() {
+            self.pred_hits.resize_with(chunk.len(), Vec::new);
+        }
+        let pred_hits = &mut self.pred_hits[..chunk.len()];
+        for hits in pred_hits.iter_mut() {
+            hits.clear();
+        }
+        let mut guide = PredGuideMulti {
+            ds: &self.ds,
+            union_d: self.ds.iter().fold(0u64, |a, &d| a | d),
+            masks: lp_masks,
+            neg,
+            width: lp.width(),
+            out: pred_hits,
+            nodes_entered: &mut stats.wavelet_nodes,
+            node_mask: 0,
+            pending: 0,
+        };
+        self.mt.run(lp, &self.ranges, &mut guide);
+        stats.rank_ops += self.mt.ranks;
+        stats.rank_ops_saved += self.mt.ranks_saved;
+        // The batched sweep emits leaves in unspecified order.
+        for hits in pred_hits.iter_mut() {
+            hits.sort_unstable_by_key(|&(p, ..)| p);
+        }
+        pred_hits
+    }
+}
+
 /// §4.1, frontier-batched: prune `L_p` subtrees whose labels cannot
 /// reach an active state of *any* frontier item (node level), then
 /// per item against its own mask (item level). The expensive per-node
@@ -943,7 +967,7 @@ struct PredGuideMulti<'a> {
     neg: &'a [(u64, Vec<Label>)],
     width: usize,
     /// Per-item output: `(pred, rank_b, rank_e, D_i & B[p])`.
-    out: &'a mut Vec<Vec<(Label, usize, usize, u64)>>,
+    out: &'a mut [Vec<(Label, usize, usize, u64)>],
     nodes_entered: &'a mut u64,
     /// `B[v] | neg` of the node admitted most recently.
     node_mask: u64,
@@ -1073,39 +1097,94 @@ fn propagate_up(masks: &mut EpochArray, occ: &BitSet, width: usize, sym: u64) {
     }
 }
 
-/// One frontier chunk's speculative expansion plan (Phase A output):
-/// everything the sequential loop would need, computed against *frozen*
-/// visited masks so it can run concurrently.
+/// One frontier chunk's speculative expansion plan (phase A output)
+/// and the scratch that computes it, reused across levels and queries:
+/// everything the replay needs, computed against *frozen* visited masks
+/// so chunks can expand concurrently.
+#[derive(Default)]
 struct ChunkPlan {
-    /// Per frontier item, in order.
-    items: Vec<ItemPlan>,
-    /// This chunk's part-one rank count.
-    rank_ops: u64,
-    /// Ranks the batched part-one avoided.
-    rank_ops_saved: u64,
-    /// Wavelet nodes entered (part one + frozen part two).
-    wavelet_nodes: u64,
-    /// The worker saw the deadline pass and skipped expansion; the merge
-    /// turns this into `Stop::TimedOut` when it reaches the chunk.
+    part_one: PartOne,
+    /// The chunk's surviving `(item, predicate)` subject ranges in `L_s`,
+    /// item by item, each item's in ascending-label order.
+    ranges: Vec<(usize, usize)>,
+    /// The backward state set `d_new` of each range (Eq. 2).
+    d_news: Vec<u64>,
+    /// Part two: the candidate subjects of every range, from one sweep.
+    sweep: RangeSweep,
+    /// Per frontier item, in order: its part-one hit count (for exact
+    /// `product_edges` accounting — hits with a dead `d_new` count in
+    /// the direct loop too) and how many of `ranges` are its.
+    items: Vec<(u64, usize)>,
+    /// This chunk's wavelet-node and rank counts (parts one and two).
+    stats: TraversalStats,
+    /// The worker saw the deadline pass and skipped expansion; the
+    /// replay turns this into `Stop::TimedOut` when it reaches the chunk.
     deadline_hit: bool,
 }
 
-/// One frontier item's speculative expansion: its part-one hit count
-/// (for exact `product_edges` accounting — hits with a dead `d_new` are
-/// counted by the sequential loop too) and, per surviving predicate in
-/// ascending-label order, the backward state set and the candidate
-/// subjects the frozen part two emitted.
-struct ItemPlan {
-    n_hits: u64,
-    preds: Vec<(u64, Vec<Id>)>,
+impl ChunkPlan {
+    /// Expands `chunk` against frozen masks: part one (identical to the
+    /// direct loop's — it only reads the static `B[v]` table), then one
+    /// [`WaveletMatrix::sweep_ranges`] over the surviving ranges, with
+    /// [`SubjSweep`] pruning against the frozen `D` masks.
+    #[allow(clippy::too_many_arguments)]
+    fn expand(
+        &mut self,
+        ring: &Ring,
+        bp: &BitParallel,
+        neg: &[(u64, Vec<Label>)],
+        lp_masks: &EpochArray,
+        ls_masks: &EpochArray,
+        node_pruning: bool,
+        chunk: &[(usize, usize, u64)],
+        deadline: Option<Instant>,
+    ) {
+        self.ranges.clear();
+        self.d_news.clear();
+        self.items.clear();
+        self.stats = TraversalStats::default();
+        self.deadline_hit = deadline.is_some_and(|dl| Instant::now() >= dl);
+        if self.deadline_hit {
+            return;
+        }
+        let pred_hits = self
+            .part_one
+            .run(ring.l_p(), lp_masks, neg, chunk, &mut self.stats);
+        for hits in pred_hits {
+            let before = self.ranges.len();
+            for &(p, rb, re, d_and_b) in hits {
+                let d_new = bp.apply_bwd(d_and_b);
+                if d_new != 0 {
+                    let base = ring.pred_range(p).0;
+                    self.ranges.push((base + rb, base + re));
+                    self.d_news.push(d_new);
+                }
+            }
+            self.items
+                .push((hits.len() as u64, self.ranges.len() - before));
+        }
+        let ls = ring.l_s();
+        let mut guide = SubjSweep {
+            d_news: &self.d_news,
+            masks: ls_masks,
+            width: ls.width(),
+            node_pruning,
+        };
+        ls.sweep_ranges(&self.ranges, &mut guide, &mut self.sweep);
+        self.stats.wavelet_nodes += self.sweep.nodes;
+        self.stats.rank_ops += self.sweep.ranks;
+        self.stats.rank_ops_saved += self.sweep.ranks_saved;
+    }
 }
 
-/// Phase A: expands every chunk of `frontier` speculatively, fanning
-/// chunks across up to `threads − 1` pool helpers plus the calling
-/// thread. Chunk geometry depends only on `(frontier.len(), threads)` —
-/// never on how many helpers the pool actually granted — and per-item
-/// part-one output is independent of chunk grouping (the multi-range
-/// guide filters per item), so results are deterministic.
+/// Phase A: expands every chunk of `frontier` speculatively into
+/// `chunks[..n]` and returns `n`. Chunks are claimed one at a time by
+/// the calling thread and by up to `threads − 1` pool helpers; a helper
+/// the pool does not grant, or the OS does not start, just leaves its
+/// share to the others. Chunk geometry depends only on
+/// `(frontier.len(), threads)` — never on the grant — and per-item
+/// output is independent of chunk grouping anyway (both part one and
+/// the sweep filter per item), so the plans are deterministic.
 #[allow(clippy::too_many_arguments)]
 fn expand_level_speculative(
     ring: &Ring,
@@ -1117,165 +1196,77 @@ fn expand_level_speculative(
     frontier: &[(usize, usize, u64)],
     deadline: Option<Instant>,
     threads: usize,
-) -> Vec<ChunkPlan> {
-    // Aim for ~4 chunks per requested thread so dynamic claiming can
-    // balance skew, but never exceed the sequential chunk bound (the
-    // part-one scratch size) and don't shatter small levels.
-    let chunk_size = frontier
-        .len()
-        .div_ceil(threads * 4)
-        .clamp(64, FRONTIER_CHUNK);
+    chunks: &mut Vec<ChunkPlan>,
+) -> usize {
+    // With helpers, aim for ~4 chunks per thread so dynamic claiming can
+    // balance skew; never exceed the direct loop's chunk bound, and
+    // don't shatter small levels.
+    let target = if threads > 1 {
+        frontier.len().div_ceil(threads * 4)
+    } else {
+        FRONTIER_CHUNK
+    };
+    let chunk_size = target.clamp(64, FRONTIER_CHUNK);
     let n_chunks = frontier.len().div_ceil(chunk_size);
-    let grant = crate::parallel::acquire_helpers(threads.saturating_sub(1));
-    let slots: Vec<OnceLock<ChunkPlan>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let work = || loop {
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            if c >= n_chunks {
-                break;
-            }
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(frontier.len());
-            let plan = expand_chunk_speculative(
-                ring,
-                bp,
-                neg,
-                lp_masks,
-                ls_masks,
-                node_pruning,
-                &frontier[lo..hi],
-                deadline,
-            );
-            let _ = slots[c].set(plan);
+    if chunks.len() < n_chunks {
+        chunks.resize_with(n_chunks, ChunkPlan::default);
+    }
+    let grant = crate::parallel::acquire_helpers((threads - 1).min(n_chunks - 1));
+    let queue = Mutex::new(frontier.chunks(chunk_size).zip(chunks.iter_mut()));
+    let work = || loop {
+        // The guard is a temporary: the lock is held for `next` only.
+        let claimed = queue
+            .lock()
+            .expect("no thread panics while holding the chunk queue")
+            .next();
+        let Some((chunk, plan)) = claimed else {
+            break;
         };
-        for _ in 0..grant.count().min(n_chunks.saturating_sub(1)) {
-            scope.spawn(work);
+        plan.expand(
+            ring,
+            bp,
+            neg,
+            lp_masks,
+            ls_masks,
+            node_pruning,
+            chunk,
+            deadline,
+        );
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..grant.count() {
+            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
         }
         work();
     });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("phase A fills every chunk slot"))
-        .collect()
+    n_chunks
 }
 
-/// Expands one chunk against frozen masks: part one (identical to the
-/// sequential sweep — it only reads the static `B[v]` table) plus a
-/// read-only part two per surviving predicate.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk_speculative(
-    ring: &Ring,
-    bp: &BitParallel,
-    neg: &[(u64, Vec<Label>)],
-    lp_masks: &EpochArray,
-    ls_masks: &EpochArray,
-    node_pruning: bool,
-    chunk: &[(usize, usize, u64)],
-    deadline: Option<Instant>,
-) -> ChunkPlan {
-    let mut plan = ChunkPlan {
-        items: Vec::with_capacity(chunk.len()),
-        rank_ops: 0,
-        rank_ops_saved: 0,
-        wavelet_nodes: 0,
-        deadline_hit: false,
-    };
-    if let Some(dl) = deadline {
-        if Instant::now() >= dl {
-            plan.deadline_hit = true;
-            return plan;
-        }
-    }
-    let lp = ring.l_p();
-    let ls = ring.l_s();
-    let width_p = lp.width();
-    let width_s = ls.width();
-    let ranges: Vec<(usize, usize)> = chunk.iter().map(|&(b, e, _)| (b, e)).collect();
-    let ds: Vec<u64> = chunk.iter().map(|&(_, _, d)| d).collect();
-    let union_d = ds.iter().fold(0u64, |a, &d| a | d);
-    let mut pred_hits: Vec<Vec<(Label, usize, usize, u64)>> = vec![Vec::new(); chunk.len()];
-    let mut mt = MultiTraversal::default();
-    {
-        let mut guide = PredGuideMulti {
-            ds: &ds,
-            union_d,
-            masks: lp_masks,
-            neg,
-            width: width_p,
-            out: &mut pred_hits,
-            nodes_entered: &mut plan.wavelet_nodes,
-            node_mask: 0,
-            pending: 0,
-        };
-        mt.run(lp, &ranges, &mut guide);
-    }
-    plan.rank_ops += mt.ranks;
-    plan.rank_ops_saved += mt.ranks_saved;
-    for hits in pred_hits.iter_mut() {
-        hits.sort_unstable_by_key(|&(p, ..)| p);
-    }
-    for hits in pred_hits.iter() {
-        let mut preds = Vec::new();
-        for &(p, rb, re, d_and_b) in hits {
-            let d_new = bp.apply_bwd(d_and_b);
-            if d_new == 0 {
-                continue;
-            }
-            let base = ring.pred_range(p).0;
-            let mut cands = Vec::new();
-            {
-                let mut guide = FrozenSubjGuide {
-                    d_new,
-                    masks: ls_masks,
-                    width: width_s,
-                    node_pruning,
-                    out: &mut cands,
-                    nodes_entered: &mut plan.wavelet_nodes,
-                };
-                ls.guided_traverse(base + rb, base + re, &mut guide);
-            }
-            preds.push((d_new, cands));
-        }
-        plan.items.push(ItemPlan {
-            n_hits: hits.len() as u64,
-            preds,
-        });
-    }
-    plan
-}
-
-/// The read-only counterpart of [`SubjGuide`] for Phase A: filters
-/// subjects against a *frozen* snapshot of the visited masks without
-/// mutating them. Because the masks only ever grow, every frozen-mask
-/// check is a lower bound on the live one: this guide admits a
-/// **superset** of the subjects the sequential traversal would emit, in
-/// the same left-to-right order (pruning removes whole subtrees without
-/// reordering survivors) — and the merge replay re-applies the exact
-/// leaf filter (`fresh == 0` skip) against the live masks, discarding
-/// exactly the speculative extras.
-struct FrozenSubjGuide<'a> {
-    d_new: u64,
+/// The part-two admission of a two-phase level: a range's sweep enters
+/// an `L_s` node unless its frozen `D` mask already holds all of the
+/// range's `d_new` — at the leaves always (the per-subject visited
+/// filter), at internal nodes under node pruning (the intersection
+/// invariant of [`SubjGuide`]). Read-only, so chunks sweep concurrently.
+/// The masks only grow, so every frozen check is a lower bound on the
+/// live one: the sweep admits a **superset** of the subjects the direct
+/// loop would emit, each range's in the same ascending order, and the
+/// replay's `fresh == 0` skip discards exactly the extras.
+struct SubjSweep<'a> {
+    d_news: &'a [u64],
     masks: &'a EpochArray,
     width: usize,
     node_pruning: bool,
-    out: &'a mut Vec<Id>,
-    nodes_entered: &'a mut u64,
 }
 
-impl RangeGuide for FrozenSubjGuide<'_> {
-    fn enter(&mut self, level: usize, prefix: u64) -> bool {
-        *self.nodes_entered += 1;
+impl SweepGuide for SubjSweep<'_> {
+    #[inline]
+    fn admit(&mut self, range: u32, level: usize, prefix: u64) -> bool {
         if level == self.width || self.node_pruning {
             let idx = WaveletMatrix::node_index(level, prefix);
-            self.d_new & !self.masks.get(idx) != 0
+            self.d_news[range as usize] & !self.masks.get(idx) != 0
         } else {
             true
         }
-    }
-
-    fn leaf(&mut self, sym: u64, _rank_b: usize, _rank_e: usize) {
-        self.out.push(sym);
     }
 }
 

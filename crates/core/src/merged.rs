@@ -618,7 +618,9 @@ fn expand_level_frozen(
             ));
         };
         for _ in 0..grant.count().min(n_chunks.saturating_sub(1)) {
-            scope.spawn(work);
+            // A helper the OS does not start leaves its chunks to the
+            // others: the caller drains the cursor either way.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
         }
         work();
     });

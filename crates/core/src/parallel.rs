@@ -15,11 +15,13 @@
 //! [`EngineOptions::intra_query_threads`], a fast-path sweep — draws its
 //! *extra* threads from one global token budget of
 //! `available_parallelism − 1` tokens (`acquire_helpers`). The calling
-//! thread always participates, so total running threads can never exceed
-//! the core count no matter how many queries (or server workers) fan out
-//! concurrently; when tokens run dry a region simply degrades to the
-//! caller-only sequential path. Tokens are released on drop, making the
-//! accounting panic-safe.
+//! thread always works too, and it holds no token: helpers across the
+//! process never exceed [`pool_capacity`], but `N` callers fanning out
+//! concurrently (queries on `N` threads, a server's `N` workers) can run
+//! `N + pool_capacity()` threads. When tokens run dry a region simply
+//! runs on its caller alone, and so it does when the OS refuses to start
+//! a helper: the caller drains the region's chunk or query cursor.
+//! Tokens are released on drop, making the accounting panic-safe.
 
 use ring::Ring;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,12 +47,18 @@ static POOL_CAPACITY: OnceLock<usize> = OnceLock::new();
 /// it so parallel-efficiency numbers have a denominator.
 pub fn pool_capacity() -> usize {
     *POOL_CAPACITY.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         std::env::var("RPQ_PARALLEL_POOL")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| cores.saturating_sub(1))
+            .unwrap_or_else(|| host_threads() - 1)
     })
+}
+
+/// The host's `available_parallelism` (at least 1), read once: the
+/// default [`EngineOptions::intra_query_threads`].
+pub(crate) fn host_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn tokens() -> &'static AtomicUsize {
@@ -157,7 +165,9 @@ pub fn map_chunks_ordered<I, T, M, C>(
                 let _ = slots[c - start].set(map(c, &items[lo..hi]));
             };
             for _ in 0..grant.count().min(end - start - 1) {
-                scope.spawn(work);
+                // A helper the OS does not start leaves its chunks to the
+                // others: the caller drains the cursor either way.
+                let _ = std::thread::Builder::new().spawn_scoped(scope, work);
             }
             work();
         });
@@ -256,7 +266,11 @@ fn evaluate_batch_core<'r>(
                 let _ = done[i].set(eval(&mut engine, &queries[i], opts));
             }
         };
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        // A worker the OS does not start leaves its queries to the
+        // others: the caller drains the cursor either way.
+        let handles: Vec<_> = (1..workers)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, worker).ok())
+            .collect();
         // The caller participates too, but guards each query so one
         // poisoned evaluation cannot sink the whole batch: on a panic the
         // engine (whose mask tables may be mid-update) is replaced by a

@@ -85,13 +85,12 @@ pub struct Plan {
     pub split: Option<Split>,
     /// Estimated first-expansion cost of the chosen route, in edges.
     pub estimated_cost: u64,
-    /// Threads the executed route may fan frontier work across: the
-    /// caller's [`EngineOptions::intra_query_threads`] when the
-    /// estimated cost clears
-    /// [`EngineOptions::parallel_min_frontier`], else 1 — small queries
-    /// never pay fan-out overhead. Purely advisory above 1: the runtime
-    /// additionally gates each BFS level on its actual frontier size
-    /// and on the process-wide worker-token pool.
+    /// The most threads the executed route may fan frontier work
+    /// across: the caller's [`EngineOptions::intra_query_threads`]
+    /// (at least 1). A cap, not a decision: each BFS level or fast-path
+    /// batch fans out only when its actual size reaches
+    /// [`EngineOptions::parallel_min_frontier`], and only with the
+    /// helpers the process-wide worker-token pool grants.
     pub intra_query_threads: usize,
 }
 
@@ -199,18 +198,12 @@ pub fn plan(
     };
     let direction = choose_direction(stats, prepared, subject, object, route);
     let estimated_cost = estimate_cost(stats, prepared, subject, object, route, split.as_ref());
-    let intra_query_threads =
-        if opts.intra_query_threads > 1 && estimated_cost >= opts.parallel_min_frontier as u64 {
-            opts.intra_query_threads
-        } else {
-            1
-        };
     Plan {
         route,
         direction,
         split,
         estimated_cost,
-        intra_query_threads,
+        intra_query_threads: opts.intra_query_threads.max(1),
     }
 }
 

@@ -30,10 +30,11 @@ pub struct LevelSample {
     pub frontier: u64,
     /// Wavelet rank operations charged to this level.
     pub rank_ops: u64,
-    /// Frontier chunks fanned across the intra-query pool on this level
-    /// (0 when the level ran sequentially).
+    /// Chunks this level was split into by the two-phase (speculative)
+    /// path, however many helpers ran them (0 when the level ran the
+    /// direct loop).
     pub chunks: u64,
-    /// Whether the level took the speculative parallel path.
+    /// Whether the level took the two-phase path.
     pub parallel: bool,
 }
 

@@ -116,22 +116,24 @@ pub struct EngineOptions {
     /// on raw work. `None` (the default) is unbounded.
     pub node_budget: Option<u64>,
     /// Maximum threads one query may use for intra-query frontier
-    /// expansion (the scoped worker pool of [`crate::parallel`]). `1`
-    /// (the default) is exactly the sequential code path; higher values
-    /// let a single large query fan BFS-level chunks across cores. The
-    /// answer set, flags, trace and truncation are **bit-for-bit
-    /// identical** at any thread count — expansion is speculative and a
-    /// sequential merge replays it in frontier order. Extra threads are
-    /// drawn from a process-wide token budget
-    /// ([`crate::parallel`] caps the sum at `available_parallelism`),
-    /// so concurrent queries degrade gracefully instead of
-    /// oversubscribing.
+    /// expansion: the calling thread plus up to `intra_query_threads − 1`
+    /// helpers drawn from the process-wide token pool of
+    /// [`crate::parallel`] (the helpers concurrent queries hold together
+    /// never exceed [`crate::parallel::pool_capacity`]; a query the pool
+    /// grants none runs on its calling thread alone). The default is the
+    /// host's `available_parallelism`; `1` never spawns a helper. The
+    /// answer set, flags, trace and truncation point are **bit-for-bit
+    /// identical** at any value — expansion is speculative and a
+    /// sequential merge replays it in frontier order.
     pub intra_query_threads: usize,
-    /// Smallest BFS frontier (or fast-path batch) worth fanning out:
-    /// below this, a level runs sequentially even when
-    /// `intra_query_threads > 1`, so small queries pay zero overhead.
-    /// The planner also compares the query's estimated first-expansion
-    /// cost against this threshold before engaging parallelism at all.
+    /// Smallest BFS frontier (or fast-path batch) that fans out. On the
+    /// pure-ring path this alone picks how a level expands: a level of
+    /// at least this many items takes the two-phase path (speculative
+    /// chunk expansion with one batched `L_s` sweep per chunk, then an
+    /// exact replay) whatever `intra_query_threads` and the pool grant;
+    /// a smaller one runs the direct loop. The merged (delta or shard)
+    /// traversal and the fast paths fan a level or batch of this size
+    /// out only when `intra_query_threads > 1`.
     pub parallel_min_frontier: usize,
     /// Collect an execution profile ("EXPLAIN ANALYZE") into
     /// [`QueryOutput::profile`]: per-phase wall time (planning vs.
@@ -157,8 +159,8 @@ impl Default for EngineOptions {
             forced_route: None,
             collect_trace: false,
             node_budget: None,
-            intra_query_threads: 1,
-            parallel_min_frontier: 2048,
+            intra_query_threads: crate::parallel::host_threads(),
+            parallel_min_frontier: 512,
             profile: false,
         }
     }
@@ -184,11 +186,14 @@ pub struct TraversalStats {
     /// per-range traversal (shared node starts, merged directory
     /// probes) — the win the succinct hot-path layer is measured by.
     pub rank_ops_saved: u64,
-    /// BFS levels whose expansion was fanned across the intra-query
-    /// worker pool (0 on the sequential path).
+    /// BFS levels (and fast-path batches) expanded by the chunked
+    /// two-phase path — on the pure-ring path every level of at least
+    /// [`EngineOptions::parallel_min_frontier`] items, however many
+    /// helpers the pool granted (possibly none); 0 when every level ran
+    /// the direct loop.
     pub parallel_levels: u64,
-    /// Frontier chunks expanded under intra-query parallelism (the unit
-    /// of work the pool schedules; ≥ `parallel_levels` when non-zero).
+    /// Chunks those levels were split into (the unit of work the pool
+    /// schedules; ≥ `parallel_levels` when non-zero).
     pub parallel_chunks: u64,
     /// [`PairBuffer`](crate::pairbuf::PairBuffer) compaction passes that did real
     /// work (sort-merge-dedup of a raw tail). Counted unconditionally —

@@ -2,17 +2,22 @@
 //! the shared-pool frontier fan-out.
 //!
 //! The contract under test: for any query, any route, and any limit /
-//! budget combination, evaluation with `intra_query_threads ∈ {2, 4}`
-//! produces **bit-for-bit identical output** to the sequential engine —
-//! the same pair *stream* (order included, so truncation points match),
-//! the same flags, the same trace. Parallel expansion is speculative
-//! against a frozen mask snapshot and a sequential merge replays it in
-//! frontier order, so this holds at any thread count and on any core
-//! count (on a single-core host the pool grants zero helpers and the
-//! chunked path still runs — through the caller thread).
+//! budget combination, evaluation produces **bit-for-bit identical
+//! output** whatever the thread cap and whatever path each BFS level
+//! takes — the same pair *stream* (order included, so truncation points
+//! match), the same flags, the same trace. Each check runs the given
+//! options and then `intra_query_threads ∈ {1, 4}` with
+//! `parallel_min_frontier` at 2 (every level of two or more items takes
+//! the chunked two-phase path) and at `usize::MAX` (every level takes the
+//! direct loop), plus the `RPQ_TEST_THREADS` counts at threshold 2.
+//! Two-phase expansion is speculative against a frozen mask snapshot and
+//! a sequential merge replays it in frontier order, so this holds at any
+//! thread count and on any core count (on a single-core host the pool
+//! grants zero helpers and the chunked path still runs — through the
+//! caller thread).
 //!
-//! `RPQ_TEST_THREADS` (comma-separated) overrides the thread counts,
-//! the knob CI's parallel differential job turns.
+//! `RPQ_TEST_THREADS` (comma-separated) overrides the extra thread
+//! counts, the knob CI's parallel differential job turns.
 
 use automata::Regex;
 use ring::ring::RingOptions;
@@ -97,9 +102,19 @@ fn corpus(graph: &Graph, seed: u64) -> Vec<RpqQuery> {
     queries
 }
 
-/// Runs one `(query, options)` pair sequentially and at every test
-/// thread count, asserting the full output is bit-identical: the raw
-/// (unsorted) pair stream, every flag, and the trace.
+/// `(intra_query_threads, parallel_min_frontier)` variants each check
+/// compares with its base options: both level paths at 1 and 4 threads,
+/// and the chunked path at every test thread count.
+fn variants() -> Vec<(usize, usize)> {
+    let mut v = vec![(1, 2), (1, usize::MAX), (4, 2), (4, usize::MAX)];
+    v.extend(test_threads().into_iter().map(|t| (t, 2)));
+    v
+}
+
+/// Runs one `(query, options)` pair as given and under every
+/// [`variants`] thread cap and threshold, asserting the full output is
+/// bit-identical: the raw (unsorted) pair stream, every flag, and the
+/// trace.
 fn assert_bit_identical(
     engine: &mut RpqEngine<'_>,
     query: &RpqQuery,
@@ -109,12 +124,13 @@ fn assert_bit_identical(
     let seq = engine
         .evaluate(query, base_opts)
         .unwrap_or_else(|e| panic!("{context}: sequential run failed: {e}"));
-    for threads in test_threads() {
+    for (threads, min_frontier) in variants() {
         let opts = EngineOptions {
             intra_query_threads: threads,
-            parallel_min_frontier: 2,
+            parallel_min_frontier: min_frontier,
             ..*base_opts
         };
+        let context = &format!("{context}, threshold {min_frontier}");
         let par = engine
             .evaluate(query, &opts)
             .unwrap_or_else(|e| panic!("{context}: {threads}-thread run failed: {e}"));
@@ -354,4 +370,64 @@ fn merged_overlay_is_bit_identical_at_every_thread_count() {
             );
         }
     }
+}
+
+/// A "broom": node 0's only in-edge comes from node 1, which `fan` nodes
+/// point at, each with an in-edge of its own. Backward from 0 the BFS
+/// levels hold 1, 1 and then `fan` items.
+fn broom_graph(fan: u64) -> Graph {
+    let mut triples = vec![Triple::new(1, 0, 0)];
+    for i in 0..fan {
+        triples.push(Triple::new(2 + i, 0, 1));
+        triples.push(Triple::new(2 + fan + i, 0, 2 + i));
+    }
+    Graph::from_triples(triples)
+}
+
+/// No planner estimate gates fan-out: an anchored closure whose start
+/// node has in-degree 1 (so its first-expansion estimate is 1) still
+/// expands its later wide level through the two-phase path under the
+/// default options, and the plan carries the caller's thread cap. The
+/// merged (ring + delta) traversal, which fans out only with a cap above
+/// one, does too on a multi-core host. Answers match the direct loop.
+#[test]
+fn default_options_fan_out_a_wide_level_behind_a_narrow_start() {
+    let defaults = EngineOptions::default();
+    let graph = broom_graph(defaults.parallel_min_frontier as u64 + 8);
+    let query = RpqQuery::new(Term::Var, star(0), Term::Const(0));
+    let direct = EngineOptions {
+        parallel_min_frontier: usize::MAX,
+        ..defaults
+    };
+
+    let ring = Ring::build(&graph, RingOptions::default());
+    let mut engine = RpqEngine::new(&ring);
+    let out = engine.evaluate(&query, &defaults).unwrap();
+    let plan = out.plan.as_ref().unwrap();
+    assert_eq!(plan.route, EvalRoute::BitParallel);
+    assert_eq!(plan.estimated_cost, 1, "the start node has in-degree 1");
+    assert_eq!(plan.intra_query_threads, defaults.intra_query_threads);
+    assert!(
+        out.stats.parallel_levels > 0,
+        "the wide level never took the two-phase path: {:?}",
+        out.stats
+    );
+    let seq = engine.evaluate(&query, &direct).unwrap();
+    assert_eq!(seq.stats.parallel_levels, 0);
+    assert_eq!(out.pairs, seq.pairs);
+
+    let store = TripleStore::new(graph).with_auto_compact_ratio(None);
+    store.insert(Triple::new(5_000, 0, 2));
+    store.commit();
+    let snap = store.snapshot();
+    let mut merged = RpqEngine::over(&*snap);
+    let out = merged.evaluate(&query, &defaults).unwrap();
+    if defaults.intra_query_threads > 1 {
+        assert!(
+            out.stats.parallel_levels > 0,
+            "the merged traversal never fanned its wide level out: {:?}",
+            out.stats
+        );
+    }
+    assert_eq!(out.pairs, merged.evaluate(&query, &direct).unwrap().pairs);
 }

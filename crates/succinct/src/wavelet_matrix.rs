@@ -241,6 +241,59 @@ impl MultiTraversal {
     }
 }
 
+/// Admission test of a level-synchronous range sweep
+/// ([`WaveletMatrix::sweep_ranges`]).
+///
+/// Unlike a [`RangeGuide`], a sweep guide is asked level by level across
+/// all ranges, not depth-first per range, so `admit` must not depend on
+/// the order of calls: it should be a pure function of its arguments and
+/// of state the guide does not change while the sweep runs.
+pub trait SweepGuide {
+    /// Whether range `range` (its index in the input slice) enters the
+    /// node at `(level, prefix)`. Asked only for nodes the range reaches
+    /// (a non-empty restriction), the root included; a leaf is asked at
+    /// `level == width` with `prefix` the symbol.
+    fn admit(&mut self, range: u32, level: usize, prefix: u64) -> bool;
+}
+
+/// Reusable scratch and output of [`WaveletMatrix::sweep_ranges`]: after
+/// a sweep, [`Self::symbols`] holds each range's admitted symbols in
+/// ascending order, all in one flat buffer. Callers on a hot path keep
+/// one `RangeSweep` and reuse its buffers across sweeps.
+#[derive(Clone, Debug, Default)]
+pub struct RangeSweep {
+    /// `(range, prefix, b, e)` per live node of the current level, in
+    /// `(range, prefix)` order.
+    cur: Vec<(u32, u64, usize, usize)>,
+    next: Vec<(u32, u64, usize, usize)>,
+    /// Admitted leaves, grouped by range in input order.
+    syms: Vec<u64>,
+    /// `ends[i]`: end of range `i`'s symbols in `syms`.
+    ends: Vec<usize>,
+    /// Rank computations performed by the last sweep.
+    pub ranks: u64,
+    /// Rank computations a per-range [`WaveletMatrix::guided_traverse`]
+    /// would have needed on top of [`ranks`](Self::ranks): it also ranks
+    /// every node start, and probes the directory once per range end.
+    pub ranks_saved: u64,
+    /// Nodes the last sweep asked the guide about (its `admit` calls).
+    pub nodes: u64,
+}
+
+impl RangeSweep {
+    /// Fresh scratch (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The admitted symbols of range `range` of the last sweep, in
+    /// ascending order.
+    pub fn symbols(&self, range: usize) -> &[u64] {
+        let start = if range == 0 { 0 } else { self.ends[range - 1] };
+        &self.syms[start..self.ends[range]]
+    }
+}
+
 /// A wavelet matrix over a sequence of symbols in `[0, sigma)`.
 ///
 /// ```
@@ -583,6 +636,89 @@ impl WaveletMatrix {
         guide: &mut G,
     ) {
         MultiTraversal::new().run(self, ranges, guide)
+    }
+
+    /// Level-synchronous sweep of many ranges at once: every range
+    /// descends one level at a time, each node asks `guide` whether the
+    /// range enters it, and `sweep` receives each range's admitted
+    /// symbols in ascending order ([`RangeSweep::symbols`]).
+    ///
+    /// The result per range equals a [`Self::guided_traverse`] whose
+    /// `enter` is `admit` for that range. The sweep needs no leaf rank
+    /// offsets, so it ranks only the two range ends per node (one
+    /// [`RankSelect::rank0_pair`]) and never a node start; and since all
+    /// nodes of a level are expanded together, their independent rank
+    /// and guide lookups overlap in the memory system instead of
+    /// waiting on each other down one range's chain of levels.
+    pub fn sweep_ranges<G: SweepGuide>(
+        &self,
+        ranges: &[(usize, usize)],
+        guide: &mut G,
+        sweep: &mut RangeSweep,
+    ) {
+        let RangeSweep {
+            cur,
+            next,
+            syms,
+            ends,
+            ranks,
+            ranks_saved,
+            nodes,
+        } = sweep;
+        (*ranks, *ranks_saved, *nodes) = (0, 0, 0);
+        cur.clear();
+        syms.clear();
+        ends.clear();
+        for (i, &(b, e)) in ranges.iter().enumerate() {
+            assert!(b <= e && e <= self.len, "range {i} out of bounds");
+            if b < e {
+                *nodes += 1;
+                if guide.admit(i as u32, 0, 0) {
+                    cur.push((i as u32, 0, b, e));
+                }
+            }
+        }
+        for level in 0..self.width {
+            if cur.is_empty() {
+                break;
+            }
+            let lvl = &self.levels[level];
+            let z = self.zeros[level];
+            let child_level = level + 1;
+            let at_leaves = child_level == self.width;
+            next.clear();
+            for &(r, prefix, b, e) in cur.iter() {
+                let (b0, e0) = lvl.rank0_pair(b, e);
+                // A guided traversal ranks the node start, `b` and `e`.
+                if RankSelect::same_superblock(b, e) {
+                    *ranks += 1;
+                    *ranks_saved += 2;
+                } else {
+                    *ranks += 2;
+                    *ranks_saved += 1;
+                }
+                let left = prefix << 1;
+                for (child, cb, ce) in [(left, b0, e0), (left | 1, z + (b - b0), z + (e - e0))] {
+                    if ce == cb {
+                        continue;
+                    }
+                    *nodes += 1;
+                    if !guide.admit(r, child_level, child) {
+                        continue;
+                    }
+                    if at_leaves {
+                        // Leaves arrive in (range, symbol) order: close
+                        // the runs of the ranges before `r` first.
+                        ends.resize(r as usize, syms.len());
+                        syms.push(child);
+                    } else {
+                        next.push((r, child, cb, ce));
+                    }
+                }
+            }
+            std::mem::swap(cur, next);
+        }
+        ends.resize(ranges.len(), syms.len());
     }
 
     /// Batched [`Self::rank`]: replaces each `positions[i]` with

@@ -3,7 +3,7 @@
 //! agree on every operation for arbitrary inputs.
 
 use proptest::prelude::*;
-use succinct::wavelet_matrix::MultiRangeGuide;
+use succinct::wavelet_matrix::{MultiRangeGuide, RangeGuide, RangeSweep, SweepGuide};
 use succinct::{BitVec, IntVec, RankSelect, WaveletMatrix, WaveletTree};
 
 fn naive_rank(syms: &[u64], sym: u64, i: usize) -> usize {
@@ -24,8 +24,101 @@ impl MultiRangeGuide for CollectMulti {
     }
 }
 
+/// A deterministic, order-independent pruning predicate over
+/// `(range, level, prefix)`: internal nodes pass 4 times in 5, leaves 2
+/// times in 3.
+fn pruned(width: usize, range: u32, level: usize, prefix: u64) -> bool {
+    let h = (u64::from(range) << 40 ^ (level as u64) << 32 ^ prefix)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        >> 32;
+    if level == width {
+        !h.is_multiple_of(3)
+    } else {
+        !h.is_multiple_of(5)
+    }
+}
+
+/// The sweep guide: every node, or the [`pruned`] predicate.
+struct SweepAdmit {
+    width: usize,
+    prune: bool,
+}
+impl SweepGuide for SweepAdmit {
+    fn admit(&mut self, range: u32, level: usize, prefix: u64) -> bool {
+        !self.prune || pruned(self.width, range, level, prefix)
+    }
+}
+
+/// The per-range reference: a guided traversal under the same predicate,
+/// counting the nodes it asks about.
+struct RangeAdmit {
+    width: usize,
+    prune: bool,
+    range: u32,
+    asked: u64,
+    out: Vec<u64>,
+}
+impl RangeGuide for RangeAdmit {
+    fn enter(&mut self, level: usize, prefix: u64) -> bool {
+        self.asked += 1;
+        !self.prune || pruned(self.width, self.range, level, prefix)
+    }
+    fn leaf(&mut self, sym: u64, _: usize, _: usize) {
+        self.out.push(sym);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The level-synchronous range sweep yields, per range, exactly the
+    /// symbols a guided traversal under the same admission yields, in
+    /// ascending order: `range_distinct`'s symbols when everything is
+    /// admitted. Covers one-symbol, power-of-two and other alphabets,
+    /// empty ranges, ranges ending at `len` (the `rank0_pair` fallback)
+    /// and ranges crossing 512-bit superblocks.
+    #[test]
+    fn range_sweep_equals_guided_traversal(
+        sigma_pick in 0usize..4,
+        raw_syms in prop::collection::vec(0u64..1000, 0..1500),
+        raw_ranges in prop::collection::vec((0usize..1500, 0usize..1500), 0..30),
+        prune in any::<bool>(),
+    ) {
+        let sigma = [1u64, 2, 16, 37][sigma_pick];
+        let syms: Vec<u64> = raw_syms.iter().map(|&s| s % sigma).collect();
+        let n = syms.len();
+        let wm = WaveletMatrix::new(&syms, sigma);
+        let mut ranges: Vec<(usize, usize)> = raw_ranges
+            .iter()
+            .map(|&(x, y)| {
+                let (b, e) = (x.min(n), y.min(n));
+                (b.min(e), b.max(e))
+            })
+            .collect();
+        ranges.extend([(n, n), (n / 2, n), (0, n), (n / 3, n / 3)]);
+        let width = wm.width();
+        let mut sweep = RangeSweep::new();
+        wm.sweep_ranges(&ranges, &mut SweepAdmit { width, prune }, &mut sweep);
+        let mut asked = 0;
+        for (i, &(b, e)) in ranges.iter().enumerate() {
+            let mut reference = RangeAdmit { width, prune, range: i as u32, asked: 0, out: Vec::new() };
+            wm.guided_traverse(b, e, &mut reference);
+            asked += reference.asked;
+            prop_assert_eq!(sweep.symbols(i), &reference.out[..], "range {} = {:?}", i, (b, e));
+            if !prune {
+                let mut distinct = Vec::new();
+                wm.range_distinct(b, e, &mut |s, _, _| distinct.push(s));
+                prop_assert_eq!(sweep.symbols(i), &distinct[..]);
+            }
+        }
+        prop_assert_eq!(sweep.nodes, asked);
+        // Reuse: a second sweep over the same input agrees.
+        let first: Vec<Vec<u64>> = (0..ranges.len()).map(|i| sweep.symbols(i).to_vec()).collect();
+        wm.sweep_ranges(&ranges, &mut SweepAdmit { width, prune }, &mut sweep);
+        for (i, syms) in first.iter().enumerate() {
+            prop_assert_eq!(sweep.symbols(i), &syms[..]);
+        }
+    }
 
     #[test]
     fn rank_select_agree_with_naive(bits in prop::collection::vec(any::<bool>(), 0..2000)) {

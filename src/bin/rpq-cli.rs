@@ -113,7 +113,9 @@ query/batch options:
                    per query, without evaluating anything
 query/serve/batch options:
   --threads <n>    threads a single query may fan its frontier across
-                   (default 1; answers are identical at any value)
+                   (query: default available parallelism; serve/batch:
+                   default 1, clamped so workers x threads fits the
+                   host; answers are identical at any value)
   --profile        collect an execution profile (per-phase timings,
                    per-level frontier sizes, compaction and cache
                    counters; answers are bit-identical either way).
@@ -317,7 +319,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     }
     let opts = EngineOptions {
         timeout: Some(Duration::from_secs(60)),
-        intra_query_threads: threads.unwrap_or(1).max(1),
+        intra_query_threads: threads
+            .map_or(EngineOptions::default().intra_query_threads, |t| t.max(1)),
         profile,
         ..EngineOptions::default()
     };
